@@ -200,14 +200,8 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     c.since_best = since_best;
     c.watchdog_rollbacks = watchdog.rollbacks();
     c.watchdog_best_abs_loss = watchdog.best_abs_loss();
-    const Rng::State st = rng.state();
-    for (int i = 0; i < 4; ++i) c.rng_state[i] = st.s[i];
-    c.rng_has_gauss = st.has_gauss ? 1 : 0;
-    c.rng_gauss = st.gauss;
-    const Rng::State adv_st = adv_rng.state();
-    for (int i = 0; i < 4; ++i) c.adv_rng_state[i] = adv_st.s[i];
-    c.adv_rng_has_gauss = adv_st.has_gauss ? 1 : 0;
-    c.adv_rng_gauss = adv_st.gauss;
+    c.rng = rng.state();
+    c.adv_rng = adv_rng.state();
     for (const VarPtr& p : params) c.params.push_back(ToBlob(p->value()));
     for (const Matrix& m : optimizer.first_moments())
       c.opt_m.push_back(ToBlob(m));
@@ -249,16 +243,8 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     best_mod_loss = c.best_mod_loss;
     since_best = c.since_best;
     watchdog.Restore(c.watchdog_rollbacks, c.watchdog_best_abs_loss);
-    Rng::State st;
-    for (int i = 0; i < 4; ++i) st.s[i] = c.rng_state[i];
-    st.has_gauss = c.rng_has_gauss != 0;
-    st.gauss = c.rng_gauss;
-    rng.set_state(st);
-    Rng::State adv_st;
-    for (int i = 0; i < 4; ++i) adv_st.s[i] = c.adv_rng_state[i];
-    adv_st.has_gauss = c.adv_rng_has_gauss != 0;
-    adv_st.gauss = c.adv_rng_gauss;
-    adv_rng.set_state(adv_st);
+    rng.set_state(c.rng);
+    adv_rng.set_state(c.adv_rng);
     pairs.clear();
     pairs.reserve(c.pairs.size());
     for (const PairBlob& p : c.pairs) pairs.push_back({p.u, p.v, p.target});

@@ -11,15 +11,10 @@
 namespace aneci::serve {
 namespace {
 
-constexpr char kMagic[4] = {'A', 'N', 'S', 'V'};
 constexpr uint32_t kVersion = 1;
-constexpr size_t kHeaderSize = 4 + 4 + 8 + 4;
 
 void PutMatrix(std::string* out, const Matrix& m) {
-  PutScalarLe<int32_t>(out, m.rows());
-  PutScalarLe<int32_t>(out, m.cols());
-  const double* data = m.data();
-  for (int64_t i = 0; i < m.size(); ++i) PutDoubleLe(out, data[i]);
+  PutTensorLe(out, m.rows(), m.cols(), m.data());
 }
 
 Status GetMatrix(ByteReader* reader, const std::string& origin,
@@ -34,13 +29,10 @@ Status GetMatrix(ByteReader* reader, const std::string& origin,
         std::to_string(rows) + "x" + std::to_string(cols) +
         ", header declares " + std::to_string(want_rows) + "x" +
         std::to_string(want_cols) + ": " + origin);
-  if (static_cast<uint64_t>(rows) * cols * sizeof(double) > reader->remaining())
-    return Status::InvalidArgument("model artifact payload truncated: " +
-                                   origin);
-  *m = Matrix(rows, cols);
-  double* data = m->data();
-  for (int64_t i = 0; i < m->size(); ++i)
-    ANECI_RETURN_IF_ERROR(reader->GetDouble(&data[i]));
+  std::vector<double> data;
+  ANECI_RETURN_IF_ERROR(
+      reader->GetDoubles(static_cast<size_t>(rows) * cols, &data));
+  *m = Matrix(rows, cols, std::move(data));
   return Status::OK();
 }
 
@@ -83,51 +75,16 @@ std::string SerializeModelArtifact(const ModelArtifact& artifact) {
   PutMatrix(&payload, artifact.proba);
   for (int32_t c : artifact.community) PutScalarLe<int32_t>(&payload, c);
   for (double a : artifact.anomaly) PutDoubleLe(&payload, a);
-
-  std::string file;
-  file.reserve(kHeaderSize + payload.size());
-  file.append(kMagic, sizeof(kMagic));
-  PutScalarLe<uint32_t>(&file, kVersion);
-  PutScalarLe<uint64_t>(&file, static_cast<uint64_t>(payload.size()));
-  PutScalarLe<uint32_t>(&file, Crc32(payload.data(), payload.size()));
-  file += payload;
-  return file;
+  return Seal("ANSV", kVersion, payload);
 }
 
 StatusOr<ModelArtifact> ParseModelArtifact(std::string_view bytes,
                                            const std::string& origin) {
-  if (bytes.size() < kHeaderSize)
-    return Status::InvalidArgument("model artifact too short for header: " +
-                                   origin);
-  if (bytes.compare(0, sizeof(kMagic),
-                    std::string_view(kMagic, sizeof(kMagic))) != 0)
-    return Status::InvalidArgument("not a model artifact (bad magic): " +
-                                   origin);
-
-  ByteReader header(bytes.substr(4, kHeaderSize - 4), "model artifact header",
-                    origin);
-  uint32_t version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  ANECI_RETURN_IF_ERROR(header.Get(&version));
-  ANECI_RETURN_IF_ERROR(header.Get(&payload_size));
-  ANECI_RETURN_IF_ERROR(header.Get(&crc));
-  if (version != kVersion)
-    return Status::InvalidArgument(
-        "unsupported model artifact version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kVersion) + "): " +
-        origin);
-  if (bytes.size() - kHeaderSize != payload_size)
-    return Status::InvalidArgument(
-        "model artifact truncated: header declares " +
-        std::to_string(payload_size) + " payload bytes, file has " +
-        std::to_string(bytes.size() - kHeaderSize) + ": " + origin);
-  const std::string_view payload = bytes.substr(kHeaderSize);
-  if (Crc32(payload.data(), payload.size()) != crc)
-    return Status::InvalidArgument("model artifact CRC mismatch (corrupt): " +
-                                   origin);
-
+  ANECI_ASSIGN_OR_RETURN(
+      const Envelope envelope,
+      Open(bytes, "ANSV", kVersion, kVersion, "model artifact", origin));
   ModelArtifact artifact;
-  ByteReader reader(payload, "model artifact payload", origin);
+  ByteReader reader(envelope.payload, "model artifact payload", origin);
   uint32_t num_nodes = 0, embed_dim = 0, num_classes = 0;
   ANECI_RETURN_IF_ERROR(reader.Get(&num_nodes));
   ANECI_RETURN_IF_ERROR(reader.Get(&embed_dim));
@@ -168,9 +125,7 @@ StatusOr<ModelArtifact> ParseModelArtifact(std::string_view bytes,
           " outside [0, " + std::to_string(artifact.embed_dim) + "): " +
           origin);
   }
-  artifact.anomaly.resize(num_nodes);
-  for (double& a : artifact.anomaly)
-    ANECI_RETURN_IF_ERROR(reader.GetDouble(&a));
+  ANECI_RETURN_IF_ERROR(reader.GetDoubles(num_nodes, &artifact.anomaly));
   if (!reader.exhausted())
     return Status::InvalidArgument("model artifact has trailing bytes: " +
                                    origin);

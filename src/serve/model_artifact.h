@@ -6,24 +6,20 @@
 // community assignment, per-node anomaly scores, and (for labelled graphs) a
 // frozen label head's per-node class probabilities.
 //
-// File layout (same envelope as util/checkpoint.h, docs/serving.md §2):
-//   bytes 0..3   magic "ANSV"
-//   bytes 4..7   u32 format version (currently 1)
-//   bytes 8..15  u64 payload size in bytes
-//   bytes 16..19 u32 CRC-32 (IEEE 802.3) of the payload
-//   bytes 20..   payload, fixed little-endian field order:
-//     u32 num_nodes, u32 embed_dim, u32 num_classes
-//     tensor z        (num_nodes x embed_dim doubles)
-//     tensor p        (num_nodes x embed_dim doubles)
-//     tensor proba    (num_nodes x num_classes doubles; absent rows/cols = 0)
-//     i32  community[num_nodes]
-//     f64  anomaly[num_nodes]
+// The file is the shared envelope of util/byteio.h (docs/robustness.md §6)
+// with magic "ANSV", version 1, and this little-endian payload:
+//   u32 num_nodes, u32 embed_dim, u32 num_classes
+//   tensor z        (num_nodes x embed_dim doubles)
+//   tensor p        (num_nodes x embed_dim doubles)
+//   tensor proba    (num_nodes x num_classes doubles; absent rows/cols = 0)
+//   i32  community[num_nodes]
+//   f64  anomaly[num_nodes]
 //
-// Loading verifies magic, version, declared size and CRC before any field is
-// interpreted, then cross-checks every shape against the header counts, so a
-// torn or tampered artifact is rejected with a precise Status instead of
-// being served. Writes go through Env::WriteFileAtomic: a crash mid-export
-// never clobbers the artifact a live server may re-load.
+// Loading checks the envelope before any field is interpreted, then
+// cross-checks every shape against the header counts, so a torn or tampered
+// artifact is rejected with a precise Status instead of being served. Writes
+// go through Env::WriteFileAtomic: a crash mid-export never clobbers the
+// artifact a live server may re-load.
 #ifndef ANECI_SERVE_MODEL_ARTIFACT_H_
 #define ANECI_SERVE_MODEL_ARTIFACT_H_
 
@@ -34,7 +30,6 @@
 
 #include "graph/graph.h"
 #include "linalg/matrix.h"
-#include "util/checkpoint.h"
 #include "util/env.h"
 #include "util/status.h"
 

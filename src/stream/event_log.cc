@@ -4,15 +4,12 @@
 #include <utility>
 
 #include "util/byteio.h"
-#include "util/checkpoint.h"
 
 namespace aneci::stream {
 namespace {
 
-constexpr char kMagic[4] = {'A', 'N', 'E', 'L'};
 constexpr uint32_t kFormatVersion = 1;
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;  // magic, version, size, crc.
-constexpr size_t kEventBytes = 1 + 4 + 4 + 8;   // kind, u, v, value.
+constexpr size_t kEventBytes = 1 + 4 + 4 + 8;  // kind, u, v, value.
 
 std::string EventContext(const EventBatch& batch, size_t index) {
   return "event " + std::to_string(index) + " of batch " +
@@ -59,45 +56,15 @@ std::string SerializeEventLog(const std::vector<EventBatch>& batches) {
       PutDoubleLe(&payload, event.value);
     }
   }
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutScalarLe<uint32_t>(&out, kFormatVersion);
-  PutScalarLe<uint64_t>(&out, payload.size());
-  PutScalarLe<uint32_t>(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
+  return Seal("ANEL", kFormatVersion, payload);
 }
 
 StatusOr<std::vector<EventBatch>> ParseEventLog(std::string_view bytes,
                                                 const std::string& origin) {
-  if (bytes.size() < kHeaderBytes)
-    return Status::InvalidArgument("event log header truncated: " + origin);
-  if (std::string_view(bytes.data(), 4) != std::string_view(kMagic, 4))
-    return Status::InvalidArgument("bad event log magic (want \"ANEL\"): " +
-                                   origin);
-  ByteReader header(bytes.substr(4, kHeaderBytes - 4), "event log header",
-                    origin);
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t crc = 0;
-  ANECI_RETURN_IF_ERROR(header.Get(&version));
-  ANECI_RETURN_IF_ERROR(header.Get(&payload_size));
-  ANECI_RETURN_IF_ERROR(header.Get(&crc));
-  if (version != kFormatVersion)
-    return Status::InvalidArgument(
-        "unsupported event log version " + std::to_string(version) +
-        " (want " + std::to_string(kFormatVersion) + "): " + origin);
-  std::string_view payload = bytes.substr(kHeaderBytes);
-  if (payload.size() != payload_size)
-    return Status::InvalidArgument(
-        "event log truncated: payload has " + std::to_string(payload.size()) +
-        " bytes, header declares " + std::to_string(payload_size) + ": " +
-        origin);
-  if (Crc32(payload.data(), payload.size()) != crc)
-    return Status::InvalidArgument(
-        "event log CRC mismatch (corrupt payload): " + origin);
-
-  ByteReader reader(payload, "event log payload", origin);
+  ANECI_ASSIGN_OR_RETURN(const Envelope envelope,
+                         Open(bytes, "ANEL", kFormatVersion, kFormatVersion,
+                              "event log", origin));
+  ByteReader reader(envelope.payload, "event log payload", origin);
   uint32_t num_batches = 0;
   ANECI_RETURN_IF_ERROR(reader.Get(&num_batches));
   std::vector<EventBatch> batches;

@@ -1,21 +1,16 @@
 // Dynamic-graph event stream: ordered insert/delete/update events for edges
 // and node attributes, grouped into batches that are consumed atomically.
 //
-// The on-disk event log ("ANEL") wears the same integrity envelope as the
-// training checkpoint and the serving artifact (docs/robustness.md §12):
-//   bytes 0..3   magic "ANEL"
-//   bytes 4..7   u32 format version (currently 1)
-//   bytes 8..15  u64 payload size in bytes
-//   bytes 16..19 u32 CRC-32 (IEEE 802.3) of the payload
-//   bytes 20..   payload, fixed little-endian field order:
-//     u32 num_batches
-//     per batch: u64 sequence, u32 num_events,
-//                per event: u8 kind, i32 u, i32 v, f64 value
-// Loading verifies magic, version, declared size and CRC before a single
-// field is interpreted, so a truncated or bit-flipped log is rejected with a
-// precise Status instead of half-replaying. All file access goes through
-// `Env`, so the fault-injection suite covers the log the same way it covers
-// checkpoints.
+// The on-disk event log is the shared envelope of util/byteio.h
+// (docs/robustness.md §6) with magic "ANEL", version 1, and this
+// little-endian payload:
+//   u32 num_batches
+//   per batch: u64 sequence, u32 num_events,
+//              per event: u8 kind, i32 u, i32 v, f64 value
+// The envelope is checked before a single field is interpreted, so a
+// truncated or bit-flipped log is rejected with a precise Status instead of
+// half-replaying. All file access goes through `Env`, so the
+// fault-injection suite covers the log the same way it covers checkpoints.
 //
 // ApplyEventBatch is transactional: a batch either applies completely or the
 // graph is left untouched (the invalid event's index and batch sequence are

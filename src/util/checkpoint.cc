@@ -1,54 +1,45 @@
 #include "util/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-#include <type_traits>
-
 #include "util/byteio.h"
+#include "util/check.h"
 #include "util/metrics.h"
 
 namespace aneci {
 namespace {
 
-constexpr char kMagic[4] = {'A', 'N', 'C', 'K'};
 // v2 appends the adversarial-training RNG block after the epoch history;
 // v1 files (no adversarial training existed then) still parse, with the
 // block left zeroed.
 constexpr uint32_t kVersion = 2;
 constexpr uint32_t kMinVersion = 1;
-constexpr size_t kHeaderSize = 4 + 4 + 8 + 4;
 
-// Scalar encoding lives in util/byteio.h (shared with the serving-artifact
-// format); this file keeps only the checkpoint-specific aggregates.
-using Reader = ByteReader;
-
-template <typename T>
-void PutScalar(std::string* out, T value) {
-  PutScalarLe<T>(out, value);
+void PutRngState(std::string* out, const Rng::State& st) {
+  for (uint64_t s : st.s) PutScalarLe<uint64_t>(out, s);
+  PutScalarLe<uint8_t>(out, st.has_gauss ? 1 : 0);
+  PutDoubleLe(out, st.gauss);
 }
 
-void PutDouble(std::string* out, double value) { PutDoubleLe(out, value); }
-
-/// "0xdeadbeef" — CRC values quoted in corruption errors.
-std::string HexU32(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%08x", v);
-  return buf;
+Status GetRngState(ByteReader* reader, Rng::State* st) {
+  for (uint64_t& s : st->s) ANECI_RETURN_IF_ERROR(reader->Get(&s));
+  uint8_t has_gauss = 0;
+  ANECI_RETURN_IF_ERROR(reader->Get(&has_gauss));
+  st->has_gauss = has_gauss != 0;
+  return reader->GetDouble(&st->gauss);
 }
 
 void PutTensors(std::string* out, const std::vector<TensorBlob>& tensors) {
-  PutScalar<uint32_t>(out, static_cast<uint32_t>(tensors.size()));
+  PutScalarLe<uint32_t>(out, static_cast<uint32_t>(tensors.size()));
   for (const TensorBlob& t : tensors) {
-    PutScalar<int32_t>(out, t.rows);
-    PutScalar<int32_t>(out, t.cols);
-    for (double v : t.data) PutDouble(out, v);
+    ANECI_CHECK_EQ(t.data.size(), static_cast<size_t>(t.rows) * t.cols);
+    PutTensorLe(out, t.rows, t.cols, t.data.data());
   }
 }
 
-Status GetTensors(Reader* reader, const std::string& origin,
+Status GetTensors(ByteReader* reader, const std::string& origin,
                   std::vector<TensorBlob>* tensors) {
   uint32_t count = 0;
   ANECI_RETURN_IF_ERROR(reader->Get(&count));
+  ANECI_RETURN_IF_ERROR(reader->CheckCount(count, 2 * sizeof(int32_t)));
   tensors->resize(count);
   for (TensorBlob& t : *tensors) {
     ANECI_RETURN_IF_ERROR(reader->Get(&t.rows));
@@ -56,111 +47,52 @@ Status GetTensors(Reader* reader, const std::string& origin,
     if (t.rows < 0 || t.cols < 0)
       return Status::InvalidArgument("checkpoint tensor has negative shape: " +
                                      origin);
-    t.data.resize(static_cast<size_t>(t.rows) * t.cols);
-    for (double& v : t.data) ANECI_RETURN_IF_ERROR(reader->GetDouble(&v));
+    ANECI_RETURN_IF_ERROR(
+        reader->GetDoubles(static_cast<size_t>(t.rows) * t.cols, &t.data));
   }
   return Status::OK();
 }
 
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t size) {
-  // Reflected CRC-32 with the IEEE 802.3 polynomial; table built on first use.
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < size; ++i)
-    crc = table[(crc ^ bytes[i]) & 0xff] ^ (crc >> 8);
-  return crc ^ 0xffffffffu;
-}
-
 std::string SerializeCheckpoint(const TrainingCheckpoint& c) {
   std::string payload;
-  PutScalar<uint64_t>(&payload, c.config_fingerprint);
-  PutScalar<int32_t>(&payload, c.next_epoch);
-  PutScalar<int32_t>(&payload, c.adam_step);
-  PutDouble(&payload, c.lr);
-  PutDouble(&payload, c.best_mod_loss);
-  PutScalar<int32_t>(&payload, c.since_best);
-  PutScalar<int32_t>(&payload, c.watchdog_rollbacks);
-  PutDouble(&payload, c.watchdog_best_abs_loss);
-  for (uint64_t s : c.rng_state) PutScalar<uint64_t>(&payload, s);
-  PutScalar<uint8_t>(&payload, c.rng_has_gauss);
-  PutDouble(&payload, c.rng_gauss);
+  PutScalarLe<uint64_t>(&payload, c.config_fingerprint);
+  PutScalarLe<int32_t>(&payload, c.next_epoch);
+  PutScalarLe<int32_t>(&payload, c.adam_step);
+  PutDoubleLe(&payload, c.lr);
+  PutDoubleLe(&payload, c.best_mod_loss);
+  PutScalarLe<int32_t>(&payload, c.since_best);
+  PutScalarLe<int32_t>(&payload, c.watchdog_rollbacks);
+  PutDoubleLe(&payload, c.watchdog_best_abs_loss);
+  PutRngState(&payload, c.rng);
   PutTensors(&payload, c.params);
   PutTensors(&payload, c.opt_m);
   PutTensors(&payload, c.opt_v);
-  PutScalar<uint32_t>(&payload, static_cast<uint32_t>(c.pairs.size()));
+  PutScalarLe<uint32_t>(&payload, static_cast<uint32_t>(c.pairs.size()));
   for (const PairBlob& p : c.pairs) {
-    PutScalar<int32_t>(&payload, p.u);
-    PutScalar<int32_t>(&payload, p.v);
-    PutDouble(&payload, p.target);
+    PutScalarLe<int32_t>(&payload, p.u);
+    PutScalarLe<int32_t>(&payload, p.v);
+    PutDoubleLe(&payload, p.target);
   }
-  PutScalar<uint32_t>(&payload, static_cast<uint32_t>(c.history.size()));
+  PutScalarLe<uint32_t>(&payload, static_cast<uint32_t>(c.history.size()));
   for (const EpochStatBlob& h : c.history) {
-    PutScalar<int32_t>(&payload, h.epoch);
-    PutDouble(&payload, h.loss);
-    PutDouble(&payload, h.modularity);
-    PutDouble(&payload, h.rigidity);
+    PutScalarLe<int32_t>(&payload, h.epoch);
+    PutDoubleLe(&payload, h.loss);
+    PutDoubleLe(&payload, h.modularity);
+    PutDoubleLe(&payload, h.rigidity);
   }
-  // v2 trailer: adversarial-training perturbation stream.
-  for (uint64_t s : c.adv_rng_state) PutScalar<uint64_t>(&payload, s);
-  PutScalar<uint8_t>(&payload, c.adv_rng_has_gauss);
-  PutDouble(&payload, c.adv_rng_gauss);
-
-  std::string file;
-  file.reserve(kHeaderSize + payload.size());
-  file.append(kMagic, sizeof(kMagic));
-  PutScalar<uint32_t>(&file, kVersion);
-  PutScalar<uint64_t>(&file, static_cast<uint64_t>(payload.size()));
-  PutScalar<uint32_t>(&file, Crc32(payload.data(), payload.size()));
-  file += payload;
-  return file;
+  PutRngState(&payload, c.adv_rng);  // v2 trailer.
+  return Seal("ANCK", kVersion, payload);
 }
 
 StatusOr<TrainingCheckpoint> ParseCheckpoint(std::string_view bytes,
                                              const std::string& origin) {
-  if (bytes.size() < kHeaderSize)
-    return Status::InvalidArgument("checkpoint too short for header: " +
-                                   origin);
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    return Status::InvalidArgument("not a checkpoint (bad magic): " + origin);
-
-  Reader header(bytes.substr(4, kHeaderSize - 4), "checkpoint header", origin);
-  uint32_t version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  ANECI_RETURN_IF_ERROR(header.Get(&version));
-  ANECI_RETURN_IF_ERROR(header.Get(&payload_size));
-  ANECI_RETURN_IF_ERROR(header.Get(&crc));
-  if (version < kMinVersion || version > kVersion)
-    return Status::InvalidArgument(
-        "unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads versions " + std::to_string(kMinVersion) +
-        ".." + std::to_string(kVersion) + "): " + origin);
-  if (bytes.size() - kHeaderSize != payload_size)
-    return Status::InvalidArgument(
-        "checkpoint truncated: header declares " +
-        std::to_string(payload_size) + " payload bytes, file has " +
-        std::to_string(bytes.size() - kHeaderSize) + ": " + origin);
-
-  const std::string_view payload = bytes.substr(kHeaderSize);
-  const uint32_t actual_crc = Crc32(payload.data(), payload.size());
-  if (actual_crc != crc)
-    return Status::InvalidArgument(
-        "checkpoint CRC mismatch (corrupt): header declares " + HexU32(crc) +
-        ", payload hashes to " + HexU32(actual_crc) + ": " + origin);
-
+  ANECI_ASSIGN_OR_RETURN(
+      const Envelope envelope,
+      Open(bytes, "ANCK", kMinVersion, kVersion, "checkpoint", origin));
   TrainingCheckpoint c;
-  Reader reader(payload, "checkpoint payload", origin);
+  ByteReader reader(envelope.payload, "checkpoint payload", origin);
   ANECI_RETURN_IF_ERROR(reader.Get(&c.config_fingerprint));
   ANECI_RETURN_IF_ERROR(reader.Get(&c.next_epoch));
   ANECI_RETURN_IF_ERROR(reader.Get(&c.adam_step));
@@ -169,14 +101,13 @@ StatusOr<TrainingCheckpoint> ParseCheckpoint(std::string_view bytes,
   ANECI_RETURN_IF_ERROR(reader.Get(&c.since_best));
   ANECI_RETURN_IF_ERROR(reader.Get(&c.watchdog_rollbacks));
   ANECI_RETURN_IF_ERROR(reader.GetDouble(&c.watchdog_best_abs_loss));
-  for (uint64_t& s : c.rng_state) ANECI_RETURN_IF_ERROR(reader.Get(&s));
-  ANECI_RETURN_IF_ERROR(reader.Get(&c.rng_has_gauss));
-  ANECI_RETURN_IF_ERROR(reader.GetDouble(&c.rng_gauss));
+  ANECI_RETURN_IF_ERROR(GetRngState(&reader, &c.rng));
   ANECI_RETURN_IF_ERROR(GetTensors(&reader, origin, &c.params));
   ANECI_RETURN_IF_ERROR(GetTensors(&reader, origin, &c.opt_m));
   ANECI_RETURN_IF_ERROR(GetTensors(&reader, origin, &c.opt_v));
   uint32_t count = 0;
   ANECI_RETURN_IF_ERROR(reader.Get(&count));
+  ANECI_RETURN_IF_ERROR(reader.CheckCount(count, 4 + 4 + 8));
   c.pairs.resize(count);
   for (PairBlob& p : c.pairs) {
     ANECI_RETURN_IF_ERROR(reader.Get(&p.u));
@@ -184,6 +115,7 @@ StatusOr<TrainingCheckpoint> ParseCheckpoint(std::string_view bytes,
     ANECI_RETURN_IF_ERROR(reader.GetDouble(&p.target));
   }
   ANECI_RETURN_IF_ERROR(reader.Get(&count));
+  ANECI_RETURN_IF_ERROR(reader.CheckCount(count, 4 + 3 * 8));
   c.history.resize(count);
   for (EpochStatBlob& h : c.history) {
     ANECI_RETURN_IF_ERROR(reader.Get(&h.epoch));
@@ -191,11 +123,8 @@ StatusOr<TrainingCheckpoint> ParseCheckpoint(std::string_view bytes,
     ANECI_RETURN_IF_ERROR(reader.GetDouble(&h.modularity));
     ANECI_RETURN_IF_ERROR(reader.GetDouble(&h.rigidity));
   }
-  if (version >= 2) {
-    for (uint64_t& s : c.adv_rng_state) ANECI_RETURN_IF_ERROR(reader.Get(&s));
-    ANECI_RETURN_IF_ERROR(reader.Get(&c.adv_rng_has_gauss));
-    ANECI_RETURN_IF_ERROR(reader.GetDouble(&c.adv_rng_gauss));
-  }
+  if (envelope.version >= 2)
+    ANECI_RETURN_IF_ERROR(GetRngState(&reader, &c.adv_rng));
   if (!reader.exhausted())
     return Status::InvalidArgument("checkpoint has trailing bytes: " + origin);
   return c;

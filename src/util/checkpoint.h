@@ -1,23 +1,14 @@
-// Binary training-snapshot format with end-to-end integrity checking
-// (docs/robustness.md has the byte-level spec). A checkpoint captures
-// everything the training loop needs to continue bit-identically after a
-// crash: model parameters, Adam moments and step, the RNG state, sampled
-// reconstruction pairs, early-stopping counters, watchdog state, and the
-// epoch history.
+// Binary training-snapshot format ("ANCK") with end-to-end integrity
+// checking. A checkpoint captures everything the training loop needs to
+// continue bit-identically after a crash: model parameters, Adam moments and
+// step, the RNG state, sampled reconstruction pairs, early-stopping
+// counters, watchdog state, and the epoch history.
 //
-// File layout:
-//   bytes 0..3   magic "ANCK"
-//   bytes 4..7   u32 format version (currently 2; v1 still loads — it lacks
-//                only the trailing adversarial-RNG block, which is zeroed)
-//   bytes 8..15  u64 payload size in bytes
-//   bytes 16..19 u32 CRC-32 (IEEE 802.3) of the payload
-//   bytes 20..   payload (fixed little-endian field order, IEEE-754 doubles)
-//
-// Loading verifies magic, version, declared size and CRC before any field is
-// interpreted, so truncation and bit-flips are rejected with a precise
-// Status instead of being half-parsed. Writes go through
-// Env::WriteFileAtomic, so a crash mid-save never clobbers the previous
-// snapshot.
+// The file is the shared envelope of util/byteio.h with magic "ANCK",
+// version 2 (v1 still loads — it lacks only the trailing adversarial-RNG
+// block, which is zeroed), and the payload spelled out field by field in
+// docs/robustness.md §6. Writes go through Env::WriteFileAtomic, so a crash
+// mid-save never clobbers the previous snapshot.
 //
 // This header lives in util (below linalg), so tensors are carried as plain
 // {rows, cols, data} blobs; trainers convert to/from their matrix type.
@@ -30,12 +21,10 @@
 #include <vector>
 
 #include "util/env.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace aneci {
-
-/// CRC-32 (reflected, polynomial 0xEDB88320) of `size` bytes.
-uint32_t Crc32(const void* data, size_t size);
 
 /// A dense row-major tensor without the linalg dependency.
 struct TensorBlob {
@@ -76,16 +65,11 @@ struct TrainingCheckpoint {
   int32_t watchdog_rollbacks = 0;
   double watchdog_best_abs_loss = 0.0;
 
-  // xoshiro256** state plus the cached-Gaussian pair.
-  uint64_t rng_state[4] = {0, 0, 0, 0};
-  uint8_t rng_has_gauss = 0;
-  double rng_gauss = 0.0;
-
-  // Adversarial-training perturbation stream (format v2; zeroed when loading
-  // a v1 file, which can only have been written by a non-adversarial run).
-  uint64_t adv_rng_state[4] = {0, 0, 0, 0};
-  uint8_t adv_rng_has_gauss = 0;
-  double adv_rng_gauss = 0.0;
+  Rng::State rng;  ///< The training stream.
+  /// Adversarial-training perturbation stream (format v2; zeroed when
+  /// loading a v1 file, which can only have been written by a
+  /// non-adversarial run).
+  Rng::State adv_rng;
 
   std::vector<TensorBlob> params;
   std::vector<TensorBlob> opt_m;
