@@ -1,52 +1,42 @@
 // Reproduces Table V: running-time comparison across methods, via
 // google-benchmark. Each benchmark trains one method end-to-end on the Cora
-// analogue (scaled by --scale via the ANECI_BENCH_SCALE env var, default
-// 0.15) and reports wall time.
+// analogue and reports wall time.
 //
 // On top of the wall-time table, every method's run is bracketed by a
 // metrics/trace reset+snapshot, and the per-phase span breakdown (setup,
 // epoch loop, final forward, ...) is written to
-// <ANECI_BENCH_OUTDIR|results>/table5_phases.csv — the observability
-// layer's answer to "where does each method's time actually go".
+// <outdir>/table5_phases.csv — the observability layer's answer to "where
+// does each method's time actually go".
 //
-// Extra flags (peeled before google-benchmark sees argv):
-//   --full               paper scale: the Cora-analogue table runs at
-//                        scale 1.0, plus one pinned-iteration AnECI run on
-//                        the full-scale Pubmed analogue (N = 19717) — the
-//                        measurement behind DESIGN.md's Pubmed-scale note
-//   --metrics-out=<p>    after the run, record the process peak RSS
-//                        (getrusage) as the `process/peak_rss_bytes` gauge
-//                        and dump the metrics registry — including the
-//                        memory planner's `autograd/peak_bytes` — as JSONL
+// Bench flags (bench/common.h; peeled before google-benchmark sees argv):
+//   --scale=<f>    Cora-analogue size multiplier (default 0.15)
+//   --full         paper scale (scale 1.0 unless --scale is given)
+//   --outdir=<d>   directory for table5_phases.csv (default "results")
+// Full-scale Pubmed training, with its peak RSS and memory-planner
+// footprint, is measured by perfbench's train-pubmed workload.
 #include <benchmark/benchmark.h>
 
-#include <sys/resource.h>
-
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/aneci.h"
-#include "data/datasets.h"
-#include "embed/aneci_embedder.h"
-#include "embed/embedder.h"
+#include "bench/common.h"
 #include "embed/gcn_classifier.h"
-#include "util/check.h"
-#include "util/env.h"
 #include "util/metrics.h"
+#include "util/table.h"
 #include "util/trace.h"
 
-namespace aneci {
+namespace aneci::bench {
 namespace {
 
-double BenchScale() {
-  const char* env = std::getenv("ANECI_BENCH_SCALE");
-  return env != nullptr ? std::atof(env) : 0.15;
+/// Set from the command line in main(), before any benchmark runs.
+BenchEnv& TableEnv() {
+  static auto* env = new BenchEnv();
+  return *env;
 }
 
 const Dataset& CoraDataset() {
-  static const Dataset* ds = new Dataset(MakeCora(42, BenchScale()));
+  static const Dataset* ds = new Dataset(MakeCora(42, TableEnv().scale));
   return *ds;
 }
 
@@ -123,42 +113,20 @@ void BM_Gcn(benchmark::State& state, bool robust) {
   CapturePhases(robust ? "RGCN" : "GCN");
 }
 
-// Full-scale Pubmed AnECI run, registered only under --full. One pinned
-// iteration: the point is the absolute wall time at paper scale (and the
-// memory-planner/RSS footprint), not a statistically tight mean.
-void BM_AnECIPubmedFull(benchmark::State& state) {
-  static const Dataset* ds = new Dataset(MakePubmed(42, /*scale=*/1.0));
-  ResetObservability();
-  for (auto _ : state) {
-    Rng rng(7);
-    AneciConfig cfg;
-    cfg.epochs = kEpochs;
-    cfg.reconstruction = ReconstructionMode::kSampled;
-    AneciEmbedder embedder(cfg);
-    EmbedOptions eo;
-    eo.rng = &rng;
-    Matrix z = embedder.Embed(ds->graph, eo);
-    benchmark::DoNotOptimize(z.data());
-  }
-  CapturePhases("AnECI-Pubmed-full");
-}
-
-Status WritePhaseCsv() {
-  const char* env = std::getenv("ANECI_BENCH_OUTDIR");
-  const std::string outdir = env != nullptr ? env : "results";
-  std::string csv = "method,phase,count,total_ms,mean_ms\n";
+void WritePhaseCsv() {
+  Table table({"method", "phase", "count", "total_ms", "mean_ms"});
   for (const auto& [method, spans] : PhaseRows()) {
     for (const SpanStat& s : spans) {
-      csv += method + "," + s.path + "," + std::to_string(s.count) + "," +
-             JsonDouble(s.total_ms) + "," +
-             JsonDouble(s.count ? s.total_ms / static_cast<double>(s.count)
-                                : 0.0) +
-             "\n";
+      table.AddRow()
+          .Add(method)
+          .Add(s.path)
+          .Add(std::to_string(s.count))
+          .Add(JsonDouble(s.total_ms))
+          .Add(JsonDouble(s.count ? s.total_ms / static_cast<double>(s.count)
+                                  : 0.0));
     }
   }
-  Status st = Env::Default()->CreateDir(outdir);
-  if (!st.ok()) return st;
-  return Env::Default()->WriteFileAtomic(outdir + "/table5_phases.csv", csv);
+  WriteBenchCsv(table, TableEnv(), "table5_phases.csv");
 }
 
 BENCHMARK_CAPTURE(BM_Embedder, DeepWalk, std::string("DeepWalk"))
@@ -184,32 +152,18 @@ BENCHMARK_CAPTURE(BM_Gcn, RGCN, true)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AnECI)->Unit(benchmark::kMillisecond);
 
 }  // namespace
-}  // namespace aneci
+}  // namespace aneci::bench
 
 int main(int argc, char** argv) {
-  bool full = false;
-  std::string metrics_out;
+  aneci::bench::TableEnv() =
+      aneci::bench::BenchEnv::FromFlags(aneci::bench::Flags(argc, argv));
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--full") {
-      full = true;
+    if (i > 0 && (arg == "--full" || arg.rfind("--scale=", 0) == 0 ||
+                  arg.rfind("--outdir=", 0) == 0))
       continue;
-    }
-    if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(14);
-      continue;
-    }
     args.push_back(argv[i]);
-  }
-  if (full) {
-    // Paper scale for the whole table (CoraDataset() reads this lazily, on
-    // the first benchmark's first iteration — after this point).
-    setenv("ANECI_BENCH_SCALE", "1.0", /*overwrite=*/0);
-    benchmark::RegisterBenchmark("BM_AnECIPubmedFull",
-                                 aneci::BM_AnECIPubmedFull)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
   }
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
@@ -217,25 +171,6 @@ int main(int argc, char** argv) {
     return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  aneci::Status st = aneci::WritePhaseCsv();
-  if (!st.ok()) {
-    std::fprintf(stderr, "phase csv: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  if (!metrics_out.empty()) {
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) == 0) {
-      // ru_maxrss is KiB on Linux.
-      aneci::MetricsRegistry::Global()
-          .GetGauge("process/peak_rss_bytes", aneci::MetricClass::kScheduling)
-          ->Set(static_cast<double>(ru.ru_maxrss) * 1024.0);
-    }
-    st = aneci::WriteMetricsJsonl(metrics_out, aneci::Env::Default());
-    if (!st.ok()) {
-      std::fprintf(stderr, "metrics-out: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("metrics: %s\n", metrics_out.c_str());
-  }
+  aneci::bench::WritePhaseCsv();
   return 0;
 }

@@ -9,8 +9,8 @@
 // the production `SocketIo::Default()` talks POSIX, and
 // `FaultInjectingSocketIo` wraps any SocketIo to inject transport faults
 // (short reads, delayed reads, connection resets, mid-frame disconnects) on
-// a deterministic seeded schedule, so the chaos tests and `bench_serve_load
-// --chaos` can measure degradation instead of asserting only the happy path.
+// a deterministic seeded schedule, so the chaos tests can check degradation
+// instead of asserting only the happy path.
 //
 // Deadlines are poll-based and confined to this shim: every Read/WriteAll
 // takes a `deadline_ms` budget (<= 0 blocks forever) and surfaces a typed

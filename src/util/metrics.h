@@ -19,8 +19,8 @@
 //
 // Instrumentation can be turned off at runtime (MetricsRegistry::
 // set_enabled(false)); a disabled Add()/Observe() is a single relaxed
-// atomic load, which is how bench_kernels measures instrumentation
-// overhead against a no-op registry.
+// atomic load. perfbench's traced pass reports what switching it on costs
+// on the real paths (trace_overhead_frac.{train,serve,stream}).
 #ifndef ANECI_UTIL_METRICS_H_
 #define ANECI_UTIL_METRICS_H_
 

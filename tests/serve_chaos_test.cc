@@ -6,7 +6,8 @@
 // sweep enforces: every Call ends in a definite outcome (a response body or
 // a typed Status — never a hang), and after Stop() the server holds zero
 // connections (active_connections() and the serve/active_connections gauge
-// both read 0, i.e. no leaked thread or fd). Run under TSan in CI
+// both read 0, i.e. no leaked thread or fd). The sweep also hot-swaps
+// snapshots from file while the fleet is mid-traffic. Run under TSan in CI
 // (tools/ci.sh) to also catch the races the invariants miss.
 #include "serve/server.h"
 
@@ -37,13 +38,16 @@ namespace {
 constexpr int kNodes = 6;
 constexpr int kDim = 4;
 
-ModelArtifact MakeArtifact() {
+/// `generation` shifts every embedding value, so each swap target differs
+/// from the snapshot it displaces.
+ModelArtifact MakeArtifact(int generation = 0) {
   Graph graph = Graph::FromEdges(
       kNodes, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}});
   graph.SetLabels({0, 0, 0, 1, 1, 1});
   Matrix z(kNodes, kDim);
   for (int i = 0; i < kNodes; ++i)
-    for (int j = 0; j < kDim; ++j) z(i, j) = 0.25 * i - 0.125 * j + 0.0625;
+    for (int j = 0; j < kDim; ++j)
+      z(i, j) = 0.25 * i - 0.125 * j + 0.0625 + generation;
   const Matrix p = RowSoftmax(z);
   return BuildModelArtifact(graph, z, p, /*head_seed=*/77);
 }
@@ -66,10 +70,11 @@ bool HasCode(const std::string& body, const std::string& code) {
 // --- The chaos sweep --------------------------------------------------------
 
 /// One seeded chaos round: a faulty server transport, a faulty client
-/// transport, and a small client fleet hammering it with retries. Returns
-/// how many calls ended in a successful response (the rest ended in typed
-/// errors or exhausted retries — also definite outcomes).
-int RunChaosRound(uint64_t seed) {
+/// transport, a small client fleet hammering it with retries over a mixed
+/// op set (knn included), and a swapper publishing new snapshots from file
+/// while the fleet is mid-traffic. Calls that do not succeed must end in
+/// typed errors or exhausted retries — also definite outcomes.
+void RunChaosRound(uint64_t seed) {
   SocketFaultSchedule server_faults;
   server_faults.seed = seed;
   server_faults.short_read = 0.25;     // exercise frame reassembly
@@ -85,6 +90,26 @@ int RunChaosRound(uint64_t seed) {
   client_faults.short_read = 0.20;
   FaultInjectingSocketIo client_io(client_faults);
 
+  // Swap targets (generations 1..kSwaps), written before traffic starts so
+  // the swap path does only load + publish.
+  constexpr int kSwaps = 3;
+  const std::string dir =
+      testing::TempDir() + "/chaos_swaps_" + std::to_string(seed);
+  EXPECT_TRUE(Env::Default()->CreateDir(dir).ok());
+  std::vector<std::string> swap_paths;
+  for (int g = 1; g <= kSwaps; ++g) {
+    swap_paths.push_back(dir + "/g" + std::to_string(g) + ".ansv");
+    EXPECT_TRUE(SaveModelArtifact(MakeArtifact(g), swap_paths.back()).ok());
+  }
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter* errors =
+      registry.GetCounter("serve/errors", MetricClass::kDeterministic);
+  Counter* swaps =
+      registry.GetCounter("serve/swaps", MetricClass::kDeterministic);
+  const uint64_t errors_before = errors->Value();
+  const uint64_t swaps_before = swaps->Value();
+
   EmbedService service(MakeSnapshot());
   ServerOptions options;
   options.max_connections = 16;
@@ -97,8 +122,38 @@ int RunChaosRound(uint64_t seed) {
 
   constexpr int kClients = 4;
   constexpr int kCallsPerClient = 10;
+  constexpr int kTotalCalls = kClients * kCallsPerClient;
   std::atomic<int> definite{0};
   std::atomic<int> ok_replies{0};
+
+  // Swapper: issues swap g once g/(kSwaps+1) of the calls are definite, so
+  // the swaps land spread across the run. Its control connection uses the
+  // clean client transport (the server-side faults still apply). Swaps are
+  // non-idempotent, so they are retried only through the explicit opt-in,
+  // and a lost ack is tolerated rather than gated on.
+  int swaps_acked = 0;  // written by the swapper, read after join
+  std::thread swapper([&] {
+    RetryPolicy policy;
+    policy.retry_non_idempotent = true;
+    policy.initial_backoff_ms = 1;
+    policy.max_backoff_ms = 8;
+    policy.jitter_seed = seed + 99;
+    auto control = ServeClient::Connect(server.port());
+    EXPECT_TRUE(control.ok()) << control.status().message();
+    if (!control.ok()) return;
+    for (int g = 1; g <= kSwaps; ++g) {
+      while (definite.load() < kTotalCalls * g / (kSwaps + 1))
+        std::this_thread::yield();
+      StatusOr<std::string> ack = control.value().CallWithRetry(
+          "{\"op\":\"swap\",\"path\":\"" + swap_paths[g - 1] + "\"}",
+          policy);
+      if (ack.ok() && ack.value().rfind("{\"ok\":true", 0) == 0)
+        ++swaps_acked;
+    }
+  });
+
+  const char* const kOps[] = {"lookup", "knn", "classify", "anomaly",
+                              "community"};
   std::vector<std::thread> fleet;
   fleet.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -117,8 +172,10 @@ int RunChaosRound(uint64_t seed) {
             continue;
           }
         }
-        const std::string body =
-            "{\"op\":\"lookup\",\"id\":" + std::to_string(i % kNodes) + "}";
+        const std::string op = kOps[(c + i) % 5];
+        const std::string body = "{\"op\":\"" + op + "\",\"id\":" +
+                                 std::to_string(i % kNodes) +
+                                 (op == "knn" ? ",\"k\":3}" : "}");
         StatusOr<std::string> reply =
             client.value().CallWithRetry(body, policy);
         definite.fetch_add(1);
@@ -128,8 +185,14 @@ int RunChaosRound(uint64_t seed) {
     });
   }
   for (std::thread& t : fleet) t.join();
-  EXPECT_EQ(definite.load(), kClients * kCallsPerClient)
+  swapper.join();
+  EXPECT_EQ(definite.load(), kTotalCalls)
       << "a Call() hung or vanished under seed " << seed;
+  EXPECT_GT(ok_replies.load(), 0) << "no call succeeded under seed " << seed;
+  EXPECT_EQ(errors->Value() - errors_before, 0u)
+      << "engine errors under seed " << seed;
+  EXPECT_GE(swaps->Value() - swaps_before, static_cast<uint64_t>(swaps_acked))
+      << "an acked swap never published under seed " << seed;
 
   server.Stop();
   EXPECT_EQ(server.active_connections(), 0)
@@ -137,15 +200,11 @@ int RunChaosRound(uint64_t seed) {
   EXPECT_EQ(ActiveConnectionsGaugeValue(), 0.0);
   EXPECT_GT(server_io.injected_faults() + client_io.injected_faults(), 0)
       << "schedule injected nothing; the round tested only the happy path";
-  return ok_replies.load();
 }
 
 TEST(ServeChaos, SweepThreeSeedsEveryCallDefiniteNoLeaks) {
   // Three distinct schedules; with retries most calls should still land.
-  int total_ok = 0;
-  for (const uint64_t seed : {7ull, 1337ull, 0xC0FFEEull})
-    total_ok += RunChaosRound(seed);
-  EXPECT_GT(total_ok, 0) << "no call ever succeeded under any schedule";
+  for (const uint64_t seed : {7ull, 1337ull, 0xC0FFEEull}) RunChaosRound(seed);
 }
 
 // --- Connection-cap admission control (ServerOptions.max_connections) -------

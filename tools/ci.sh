@@ -26,8 +26,8 @@
 # on hardware whose auto-selection would otherwise always pick avx2.
 #
 # Stage 2 is the sanitizer matrix: the fault-injection, attack, serving,
-# and streaming test subsets (-L 'fault|attack|serve|stream') run under
-# ASan, UBSan, and TSan — the subsets that exercise error paths over
+# streaming and kernel test subsets (-L 'fault|attack|serve|stream|kernels')
+# run under ASan, UBSan, and TSan — the subsets that exercise error paths over
 # partially written buffers and fuzzed protocol frames (ASan), integer/
 # float conversions in the perturbation math and wire decoding (UBSan),
 # and the parallel kernels plus the hot-swap path (TSan). The stream label
@@ -36,7 +36,8 @@
 # TSan build additionally re-runs the thread-pool and defense determinism
 # suites plus the metrics-labelled observability tests (sharded counters
 # and span aggregation are lock-free hot paths), where a data race would
-# actually bite.
+# actually bite. Each leg builds the suites its labels select, read from
+# tests/CMakeLists.txt, and fails if one of them is left unbuilt.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,37 +84,67 @@ echo "== stage 1b: kernel suite pinned to the scalar backend =="
 ANECI_KERNEL_BACKEND=scalar ctest --test-dir "${prefix}" \
   --output-on-failure -j "$(nproc)" -L kernels
 
-# Test binaries exercised by the sanitizer matrix
-# (fault/attack/serve/stream labels).
-matrix_targets=(checkpoint_test resilience_test graph_io_robustness_test
-                attack_test surrogate_test serve_protocol_test
-                serve_snapshot_test serve_golden_test serve_chaos_test
-                watchdog_edge_test stream_test stream_chaos_test
-                kernels_test memory_planner_test)
+# Test targets whose LABELS in tests/CMakeLists.txt match the ERE $1. The
+# sanitizer legs build exactly these, so a newly labelled suite joins its
+# legs without a second list to keep in step.
+label_targets() {
+  awk -v want="^($1)\$" '/^aneci_add_test\(/ {
+      gsub(/[()]/, " "); on = 0
+      for (i = 3; i <= NF; ++i) {
+        if ($i == "LABELS" || $i == "LIBS") on = ($i == "LABELS")
+        else if (on && $i ~ want) { print $2; next }
+      }
+    }' tests/CMakeLists.txt
+}
 
-echo "== stage 2a: AddressSanitizer (fault + attack + serve + stream tests) =="
+# build_leg <build-dir> <label-ERE> [extra-target...]: builds every suite
+# carrying a selected label, plus the extras, and fails if ctest still sees
+# one of them unbuilt. ctest registers an unbuilt suite as one unlabelled
+# <target>_NOT_BUILT test, which `ctest -L` would drop without a word.
+build_leg() {
+  local dir="$1" labels="$2"
+  shift 2
+  local targets listed t unbuilt=0
+  mapfile -t targets < <(label_targets "${labels}")
+  if [[ ${#targets[@]} == 0 ]]; then
+    echo "${dir}: no test target carries a label in '${labels}'" >&2
+    return 1
+  fi
+  cmake --build "${dir}" -j "$(nproc)" --target "${targets[@]}" "$@"
+  listed="$(ctest --test-dir "${dir}" -N)"
+  for t in "${targets[@]}"; do
+    if grep -q " ${t}_NOT_BUILT\$" <<<"${listed}"; then
+      echo "${dir}: ${t} is labelled '${labels}' but was not built" >&2
+      unbuilt=1
+    fi
+  done
+  return "${unbuilt}"
+}
+
+matrix_labels='fault|attack|serve|stream|kernels'
+
+echo "== stage 2a: AddressSanitizer (${matrix_labels} tests) =="
 cmake -B "${prefix}-asan" -S . -DANECI_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${prefix}-asan" -j "$(nproc)" --target "${matrix_targets[@]}"
+build_leg "${prefix}-asan" "${matrix_labels}"
 ctest --test-dir "${prefix}-asan" --output-on-failure -j "$(nproc)" \
-  -L 'fault|attack|serve|stream|kernels'
+  -L "${matrix_labels}"
 # The scalar fallback's packing/tail paths get the same ASan coverage.
 ANECI_KERNEL_BACKEND=scalar ctest --test-dir "${prefix}-asan" \
   --output-on-failure -j "$(nproc)" -L kernels
 
-echo "== stage 2b: UndefinedBehaviorSanitizer (fault + attack + serve + stream tests) =="
+echo "== stage 2b: UndefinedBehaviorSanitizer (${matrix_labels} tests) =="
 cmake -B "${prefix}-ubsan" -S . -DANECI_UBSAN=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${prefix}-ubsan" -j "$(nproc)" --target "${matrix_targets[@]}"
+build_leg "${prefix}-ubsan" "${matrix_labels}"
 ctest --test-dir "${prefix}-ubsan" --output-on-failure -j "$(nproc)" \
-  -L 'fault|attack|serve|stream|kernels'
+  -L "${matrix_labels}"
 
-echo "== stage 2c: ThreadSanitizer (fault + attack + serve + stream + concurrency tests) =="
+echo "== stage 2c: ThreadSanitizer (${matrix_labels}|metrics tests + concurrency suites) =="
 cmake -B "${prefix}-tsan" -S . -DANECI_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${prefix}-tsan" -j "$(nproc)" \
-  --target "${matrix_targets[@]}" thread_pool_test defense_test \
-  observability_test
+build_leg "${prefix}-tsan" "${matrix_labels}|metrics" \
+  thread_pool_test defense_test
 ctest --test-dir "${prefix}-tsan" --output-on-failure -j "$(nproc)" \
-  -L 'fault|attack|serve|stream|metrics|kernels'
+  -L "${matrix_labels}|metrics"
 ctest --test-dir "${prefix}-tsan" --output-on-failure -j "$(nproc)" \
   -R 'ThreadPool|Defense|Jaccard|LowRank|AttributeClip|Smoothing|AdversarialTraining'
 
