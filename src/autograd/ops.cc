@@ -1,12 +1,14 @@
 #include "autograd/ops.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <utility>
 
 #include "autograd/memory_planner.h"
 #include "linalg/kernels/kernels.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace aneci::ag {
 namespace {
@@ -133,11 +135,12 @@ VarPtr Scale(const VarPtr& a, double s) {
 VarPtr AddRowBroadcast(const VarPtr& x, const VarPtr& bias) {
   ANECI_CHECK_EQ(bias->value().rows(), 1);
   ANECI_CHECK_EQ(bias->value().cols(), x->value().cols());
-  Matrix value = x->value();
+  Matrix value(x->value().rows(), x->value().cols());
+  const double* b = bias->value().RowPtr(0);
   for (int r = 0; r < value.rows(); ++r) {
+    const double* in = x->value().RowPtr(r);
     double* row = value.RowPtr(r);
-    const double* b = bias->value().RowPtr(0);
-    for (int c = 0; c < value.cols(); ++c) row[c] += b[c];
+    for (int c = 0; c < value.cols(); ++c) row[c] = in[c] + b[c];
   }
   return MakeOp({x, bias}, std::move(value), [x, bias](Variable& self) {
     if (x->requires_grad()) x->AccumulateGrad(AcquireGradCopy(self.grad()));
@@ -154,33 +157,33 @@ VarPtr AddRowBroadcast(const VarPtr& x, const VarPtr& bias) {
 
 namespace {
 
-VarPtr ElementwiseOp(const VarPtr& x, const std::function<double(double)>& f,
-                     std::function<Matrix(const Variable&)> grad_from_self) {
-  Matrix value = x->value();
-  value.Apply(f);
-  return MakeOp({x}, std::move(value),
-                [x, grad_from_self](Variable& self) {
-                  if (x->requires_grad())
-                    x->AccumulateGrad(grad_from_self(self));
-                });
+// out[i] = f(x[i]) in one pass over x; f is inlined, not called through a
+// std::function per element.
+template <typename F>
+Matrix MapValues(const Matrix& x, F f) {
+  Matrix out(x.rows(), x.cols());
+  const double* in = x.data();
+  double* o = out.data();
+  for (int64_t i = 0; i < x.size(); ++i) o[i] = f(in[i]);
+  return out;
 }
 
 }  // namespace
 
 VarPtr Relu(const VarPtr& x) {
-  return ElementwiseOp(
-      x, [](double v) { return v > 0.0 ? v : 0.0; },
-      [x](const Variable& self) {
-        Matrix g = AcquireGradCopy(self.grad());
-        for (int64_t i = 0; i < g.size(); ++i)
-          if (x->value().data()[i] <= 0.0) g.data()[i] = 0.0;
-        return g;
-      });
+  Matrix value =
+      MapValues(x->value(), [](double v) { return v > 0.0 ? v : 0.0; });
+  return MakeOp({x}, std::move(value), [x](Variable& self) {
+    if (!x->requires_grad()) return;
+    Matrix g = AcquireGradCopy(self.grad());
+    for (int64_t i = 0; i < g.size(); ++i)
+      if (x->value().data()[i] <= 0.0) g.data()[i] = 0.0;
+    x->AccumulateGrad(std::move(g));
+  });
 }
 
 VarPtr Exp(const VarPtr& x) {
-  Matrix value = x->value();
-  value.Apply([](double v) { return std::exp(v); });
+  Matrix value = MapValues(x->value(), [](double v) { return std::exp(v); });
   return MakeOp({x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(self.grad());
@@ -211,19 +214,24 @@ VarPtr MeanRows(const VarPtr& x) {
 }
 
 VarPtr LeakyRelu(const VarPtr& x, double alpha) {
-  return ElementwiseOp(
-      x, [alpha](double v) { return v > 0.0 ? v : alpha * v; },
-      [x, alpha](const Variable& self) {
-        Matrix g = AcquireGradCopy(self.grad());
-        for (int64_t i = 0; i < g.size(); ++i)
-          if (x->value().data()[i] <= 0.0) g.data()[i] *= alpha;
-        return g;
-      });
+  // v > 0 ? v : alpha * v, written as a factor lookup so the compiler emits
+  // no data-dependent branch. 1.0 * v == v, so the bits are unchanged.
+  const double factor[2] = {alpha, 1.0};
+  Matrix value = MapValues(
+      x->value(), [&factor](double v) { return factor[v > 0.0] * v; });
+  return MakeOp({x}, std::move(value), [x, alpha](Variable& self) {
+    if (!x->requires_grad()) return;
+    const double dfactor[2] = {1.0, alpha};
+    Matrix g = AcquireGradCopy(self.grad());
+    for (int64_t i = 0; i < g.size(); ++i)
+      g.data()[i] *= dfactor[x->value().data()[i] <= 0.0];
+    x->AccumulateGrad(std::move(g));
+  });
 }
 
 VarPtr Sigmoid(const VarPtr& x) {
-  Matrix value = x->value();
-  value.Apply([](double v) { return 1.0 / (1.0 + std::exp(-v)); });
+  Matrix value = MapValues(
+      x->value(), [](double v) { return 1.0 / (1.0 + std::exp(-v)); });
   return MakeOp({x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(self.grad());
@@ -234,8 +242,7 @@ VarPtr Sigmoid(const VarPtr& x) {
 }
 
 VarPtr Tanh(const VarPtr& x) {
-  Matrix value = x->value();
-  value.Apply([](double v) { return std::tanh(v); });
+  Matrix value = MapValues(x->value(), [](double v) { return std::tanh(v); });
   return MakeOp({x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(self.grad());
@@ -551,47 +558,103 @@ VarPtr GraphAttention(const SparseMatrix* adj, const VarPtr& h,
       });
 }
 
-VarPtr InnerProductPairBce(const VarPtr& p,
-                           const std::vector<PairTarget>& pairs) {
-  const Matrix& pm = p->value();
-  const int k = pm.cols();
-  auto softplus = [](double x) {
-    // log(1 + e^x), overflow-safe.
-    return x > 30.0 ? x : std::log1p(std::exp(x));
-  };
-  double loss = 0.0;
-  for (const PairTarget& pt : pairs) {
-    ANECI_DCHECK(pt.u >= 0 && pt.u < pm.rows());
-    ANECI_DCHECK(pt.v >= 0 && pt.v < pm.rows());
-    double d = 0.0;
-    const double* a = pm.RowPtr(pt.u);
-    const double* b = pm.RowPtr(pt.v);
-    for (int c = 0; c < k; ++c) d += a[c] * b[c];
-    // BCE(sigmoid(d), t) = softplus(d) - t * d.
-    loss += softplus(d) - pt.target * d;
+namespace {
+
+// Fixed chunk sizes of the pair loss, a few hundred microseconds of work
+// per chunk at the Pubmed analogue's shapes. Chunks depend only on the
+// range, never on the thread count.
+constexpr int64_t kPairGrain = 4096;
+constexpr int64_t kPairRowGrain = 256;
+
+}  // namespace
+
+PairSet::PairSet() : PairSet(std::vector<PairTarget>()) {}
+
+PairSet::PairSet(std::vector<PairTarget> pairs) {
+  auto data = std::make_shared<Data>();
+  data->pairs = std::move(pairs);
+  const std::vector<PairTarget>& list = data->pairs;
+  const int64_t count = static_cast<int64_t>(list.size());
+  ANECI_CHECK_LE(count, INT_MAX);
+  int rows = 0;
+  for (const PairTarget& pt : list) {
+    ANECI_CHECK(pt.u >= 0 && pt.v >= 0);
+    rows = std::max(rows, std::max(pt.u, pt.v) + 1);
   }
-  return MakeOp({p}, Scalar(loss), [p, pairs](Variable& self) {
-    if (!p->requires_grad()) return;
-    const double g = self.grad()(0, 0);
-    const Matrix& pm = p->value();
-    const int k = pm.cols();
-    Matrix dp = AcquireGradZeroed(pm.rows(), pm.cols());
-    for (const PairTarget& pt : pairs) {
-      double d = 0.0;
+  // Counting sort by row; scanning the pairs in order keeps each row's
+  // entries in ascending pair order.
+  std::vector<int64_t>& row_ptr = data->row_ptr;
+  row_ptr.assign(rows + 1, 0);
+  for (const PairTarget& pt : list) {
+    ++row_ptr[pt.u + 1];
+    ++row_ptr[pt.v + 1];
+  }
+  for (int r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
+  std::vector<int64_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  data->incidence.resize(2 * count);
+  for (int64_t i = 0; i < count; ++i) {
+    const int pair = static_cast<int>(i);
+    data->incidence[next[list[i].u]++] = {pair, list[i].v};
+    data->incidence[next[list[i].v]++] = {pair, list[i].u};
+  }
+  data_ = std::move(data);
+}
+
+VarPtr InnerProductPairBce(const VarPtr& p, const PairSet& pairs) {
+  const Matrix& pm = p->value();
+  const PairSet::Data& set = *pairs.data_;
+  // Rows past the incidence's last row appear in no pair.
+  const int set_rows = static_cast<int>(set.row_ptr.size()) - 1;
+  ANECI_CHECK_LE(set_rows, pm.rows());
+  const int k = pm.cols();
+  const std::vector<PairTarget>& list = set.pairs;
+  const int64_t count = static_cast<int64_t>(list.size());
+  const bool needs_grad = p->requires_grad();
+  // Per pair: the loss term BCE(sigmoid(d), t) = softplus(d) - t * d and,
+  // for the backward, its derivative in d, sigmoid(d) - t.
+  std::vector<double> terms(count);
+  std::vector<double> residuals(needs_grad ? count : 0);
+  ParallelFor(0, count, kPairGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const PairTarget& pt = list[i];
       const double* a = pm.RowPtr(pt.u);
       const double* b = pm.RowPtr(pt.v);
+      double d = 0.0;
       for (int c = 0; c < k; ++c) d += a[c] * b[c];
-      const double s = 1.0 / (1.0 + std::exp(-d));
-      const double coeff = g * (s - pt.target);
-      double* du = dp.RowPtr(pt.u);
-      double* dv = dp.RowPtr(pt.v);
-      for (int c = 0; c < k; ++c) {
-        du[c] += coeff * b[c];
-        dv[c] += coeff * a[c];
-      }
+      // softplus(d) = log(1 + e^d), overflow-safe.
+      const double softplus = d > 30.0 ? d : std::log1p(std::exp(d));
+      terms[i] = softplus - pt.target * d;
+      if (needs_grad) residuals[i] = 1.0 / (1.0 + std::exp(-d)) - pt.target;
     }
-    p->AccumulateGrad(std::move(dp));
   });
+  double loss = 0.0;
+  for (double term : terms) loss += term;
+  return MakeOp(
+      {p}, Scalar(loss),
+      [p, data = pairs.data_, set_rows,
+       residuals = std::move(residuals)](Variable& self) {
+        if (!p->requires_grad()) return;
+        const double g = self.grad()(0, 0);
+        const Matrix& pm = p->value();
+        const int k = pm.cols();
+        Matrix dp = AcquireGradUninit(pm.rows(), k);
+        // Row r gets coeff * p_other for each incident pair, in pair order:
+        // the additions the serial pair loop made, in the same order.
+        ParallelFor(0, pm.rows(), kPairRowGrain, [&](int64_t lo, int64_t hi) {
+          for (int r = static_cast<int>(lo); r < hi; ++r) {
+            double* dr = dp.RowPtr(r);
+            std::fill(dr, dr + k, 0.0);
+            if (r >= set_rows) continue;
+            for (int64_t e = data->row_ptr[r]; e < data->row_ptr[r + 1]; ++e) {
+              const PairSet::Incidence& in = data->incidence[e];
+              const double coeff = g * residuals[in.pair];
+              const double* o = pm.RowPtr(in.other);
+              for (int c = 0; c < k; ++c) dr[c] += coeff * o[c];
+            }
+          }
+        });
+        p->AccumulateGrad(std::move(dp));
+      });
 }
 
 }  // namespace aneci::ag

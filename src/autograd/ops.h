@@ -5,6 +5,8 @@
 #ifndef ANECI_AUTOGRAD_OPS_H_
 #define ANECI_AUTOGRAD_OPS_H_
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -97,11 +99,45 @@ struct PairTarget {
   double target;  ///< In [0, 1].
 };
 
+/// An immutable pair list shared by reference count, with its row
+/// incidence: for every node row r, each (pair index, other row) of a pair
+/// that touches r, in ascending pair order (a pair with u == v lists r
+/// twice). Build one per pair list and reuse it across epochs; each loss
+/// node holds the handle, not a copy. Converts implicitly from a vector, so
+/// callers with a one-off list pass the vector as before.
+class PairSet {
+ public:
+  PairSet();
+  PairSet(std::vector<PairTarget> pairs);  // Implicit, see above.
+
+  const std::vector<PairTarget>& pairs() const { return data_->pairs; }
+  size_t size() const { return data_->pairs.size(); }
+
+ private:
+  friend VarPtr InnerProductPairBce(const VarPtr& p, const PairSet& pairs);
+
+  struct Incidence {
+    int pair;   ///< Index into pairs.
+    int other;  ///< The pair's other node.
+  };
+  struct Data {
+    std::vector<PairTarget> pairs;
+    /// One offset per node row into incidence, plus the end; the rows run
+    /// to the largest node index named by a pair.
+    std::vector<int64_t> row_ptr;
+    std::vector<Incidence> incidence;
+  };
+  std::shared_ptr<const Data> data_;
+};
+
 /// Sum over pairs of BCE(sigmoid(p_u . p_v), target), computed in the
 /// numerically stable softplus form. This is the sampled equivalent of
 /// BinaryCrossEntropySum(sigmoid(P P^T), A~) used when N^2 is too large.
-VarPtr InnerProductPairBce(const VarPtr& p,
-                           const std::vector<PairTarget>& pairs);
+/// Runs on the thread pool and gives the serial loop's bits at every thread
+/// count: each pair's dot product is computed once, the loss sums the
+/// per-pair terms in pair order, and the backward builds each gradient row
+/// from the row incidence, in pair order (see docs/parallelism.md).
+VarPtr InnerProductPairBce(const VarPtr& p, const PairSet& pairs);
 
 }  // namespace aneci::ag
 

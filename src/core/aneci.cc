@@ -133,16 +133,16 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   Rng adv_rng(adv.seed);
   Env* env = config_.env ? config_.env : Env::Default();
 
-  // Precompute the constant operators: GCN propagation S, sparse features X,
-  // and the high-order proximity A~ (both the training target and the
-  // modularity's structural prior).
+  // Precompute the constant operators: GCN propagation S, sparse features X
+  // (the identity for an attribute-free graph), and the high-order proximity
+  // A~ (both the training target and the modularity's structural prior).
   SparseMatrix s_norm, x_sparse, proximity;
-  Matrix features;
   {
     TraceSpan setup_span("setup");  // Path: train/aneci/setup.
     s_norm = graph.NormalizedAdjacency();
-    features = graph.FeaturesOrIdentity();
-    x_sparse = SparseMatrix::FromDense(features);
+    x_sparse = graph.has_attributes()
+                   ? SparseMatrix::FromDense(graph.attributes())
+                   : SparseMatrix::Identity(n);
     proximity = HighOrderProximity(graph, config_.proximity);
   }
   const double two_m_scale = proximity.SumAll();
@@ -154,7 +154,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
 
   // Parameters of the two GCN layers (Eq. 2).
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), config_.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), config_.hidden_dim, rng));
   auto b1 = ag::MakeParameter(Matrix(1, config_.hidden_dim));
   auto w2 = ag::MakeParameter(
       Matrix::GlorotUniform(config_.hidden_dim, config_.embed_dim, rng));
@@ -177,7 +177,9 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   const bool sampled_encoder =
       config_.encoder == EncoderMode::kSampledNeighbors;
 
-  std::vector<ag::PairTarget> pairs;
+  // The sampled pairs with their row incidence, rebuilt only when the pairs
+  // change: at a resample and on restore.
+  ag::PairSet pairs;
   if (!dense_recon)
     pairs = SampleReconstructionPairs(proximity, config_.negatives_per_node, rng);
 
@@ -208,7 +210,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     for (const Matrix& m : optimizer.second_moments())
       c.opt_v.push_back(ToBlob(m));
     c.pairs.reserve(pairs.size());
-    for (const ag::PairTarget& p : pairs)
+    for (const ag::PairTarget& p : pairs.pairs())
       c.pairs.push_back({p.u, p.v, p.target});
     c.history = result.history;
     return c;
@@ -245,9 +247,10 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     watchdog.Restore(c.watchdog_rollbacks, c.watchdog_best_abs_loss);
     rng.set_state(c.rng);
     adv_rng.set_state(c.adv_rng);
-    pairs.clear();
-    pairs.reserve(c.pairs.size());
-    for (const PairBlob& p : c.pairs) pairs.push_back({p.u, p.v, p.target});
+    std::vector<ag::PairTarget> restored;
+    restored.reserve(c.pairs.size());
+    for (const PairBlob& p : c.pairs) restored.push_back({p.u, p.v, p.target});
+    pairs = std::move(restored);
     result.history = c.history;
     return Status::OK();
   };
@@ -304,8 +307,8 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     SparseMatrix adv_proximity;
     const SparseMatrix* target = &proximity;
     double target_scale = two_m_scale;
-    std::vector<ag::PairTarget> adv_pairs;
-    const std::vector<ag::PairTarget>* epoch_pairs = &pairs;
+    ag::PairSet adv_pairs;
+    const ag::PairSet* epoch_pairs = &pairs;
     if (adv_epoch) {
       const int flips = static_cast<int>(
           std::lround(adv.budget * graph.num_edges()));

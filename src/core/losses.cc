@@ -199,7 +199,7 @@ std::vector<ag::PairTarget> SampleReconstructionPairs(
 }
 
 VarPtr SampledReconstructionLoss(const ag::VarPtr& p,
-                                 const std::vector<ag::PairTarget>& pairs) {
+                                 const ag::PairSet& pairs) {
   return ag::InnerProductPairBce(p, pairs);
 }
 

@@ -43,8 +43,10 @@ std::vector<ag::PairTarget> SampleReconstructionPairs(
     const SparseMatrix& proximity, int negatives_per_node, Rng& rng,
     bool binarize = false);
 
+/// The sampled L_R over `pairs`. Pass a PairSet built once per sample to
+/// reuse its row incidence across epochs; a vector converts to a fresh one.
 ag::VarPtr SampledReconstructionLoss(const ag::VarPtr& p,
-                                     const std::vector<ag::PairTarget>& pairs);
+                                     const ag::PairSet& pairs);
 
 }  // namespace aneci
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "linalg/kernels/kernels.h"
 
@@ -108,22 +107,6 @@ double Matrix::Max() const {
 double Matrix::Min() const {
   ANECI_CHECK(!data_.empty());
   return *std::min_element(data_.begin(), data_.end());
-}
-
-std::string Matrix::DebugString(int max_rows, int max_cols) const {
-  std::string out = "Matrix " + std::to_string(rows_) + "x" +
-                    std::to_string(cols_) + "\n";
-  char buf[32];
-  for (int r = 0; r < std::min(rows_, max_rows); ++r) {
-    for (int c = 0; c < std::min(cols_, max_cols); ++c) {
-      std::snprintf(buf, sizeof(buf), "%9.4f ", (*this)(r, c));
-      out += buf;
-    }
-    if (cols_ > max_cols) out += "...";
-    out += "\n";
-  }
-  if (rows_ > max_rows) out += "...\n";
-  return out;
 }
 
 // The GEMM free functions are forwarding shims over the process-wide kernel

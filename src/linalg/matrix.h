@@ -6,7 +6,6 @@
 #define ANECI_LINALG_MATRIX_H_
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "util/check.h"
@@ -108,8 +107,6 @@ class Matrix {
   double Sum() const;
   double Max() const;
   double Min() const;
-
-  std::string DebugString(int max_rows = 6, int max_cols = 8) const;
 
  private:
   int rows_;

@@ -373,29 +373,6 @@ std::vector<std::string> MetricsRegistry::SnapshotJsonl() const {
   return lines;
 }
 
-std::string MetricsRegistry::SnapshotJson() const {
-  std::string counters, gauges, histograms;
-  for (const MetricRecord& rec : Snapshot()) {
-    std::string* section = rec.kind == "counter"  ? &counters
-                           : rec.kind == "gauge" ? &gauges
-                                                 : &histograms;
-    if (!section->empty()) *section += ",";
-    *section += "\"" + JsonEscape(rec.name) + "\":";
-    if (rec.kind == "counter") {
-      *section += U64(rec.count);
-    } else if (rec.kind == "gauge") {
-      *section += JsonDouble(rec.value);
-    } else {
-      *section += "{\"count\":" + U64(rec.count) +
-                  ",\"sum\":" + JsonDouble(rec.value) +
-                  ",\"bounds\":" + DoubleArrayJson(rec.bounds) +
-                  ",\"buckets\":" + U64ArrayJson(rec.buckets) + "}";
-    }
-  }
-  return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "}}";
-}
-
 Status WriteMetricsJsonl(const std::string& path, Env* env) {
   if (env == nullptr) env = Env::Default();
   std::string out;

@@ -231,9 +231,6 @@ class MetricsRegistry {
   /// All metrics, sorted by name (deterministic order).
   std::vector<MetricRecord> Snapshot() const;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string SnapshotJson() const;
-
   /// JSONL lines: first every ring record (rings in name order, records in
   /// insertion order), then one line per metric in name order. Each line
   /// carries "class":"det"|"sched"; timing-valued span lines are appended

@@ -6,10 +6,13 @@
 // partials in a fixed chunk order independent of the thread count.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "analysis/tsne.h"
+#include "autograd/ops.h"
+#include "autograd/variable.h"
 #include "graph/proximity.h"
 #include "linalg/kmeans.h"
 #include "linalg/matrix.h"
@@ -226,6 +229,79 @@ TEST(ParallelKernels, TsneMatchesSerialBitwise) {
   for (int threads : kThreadSettings) {
     ScopedNumThreads guard(threads);
     ExpectBitEqual(run(), serial, "Tsne");
+  }
+}
+
+// The serial pair loop that ag::InnerProductPairBce replaced, kept as the
+// bitwise reference: the loss, then dp for an upstream gradient g.
+double SerialPairBce(const Matrix& pm, const std::vector<ag::PairTarget>& pairs,
+                     double g, Matrix* dp) {
+  const int k = pm.cols();
+  auto softplus = [](double x) {
+    return x > 30.0 ? x : std::log1p(std::exp(x));
+  };
+  double loss = 0.0;
+  for (const ag::PairTarget& pt : pairs) {
+    double d = 0.0;
+    const double* a = pm.RowPtr(pt.u);
+    const double* b = pm.RowPtr(pt.v);
+    for (int c = 0; c < k; ++c) d += a[c] * b[c];
+    loss += softplus(d) - pt.target * d;
+  }
+  *dp = Matrix(pm.rows(), pm.cols());
+  for (const ag::PairTarget& pt : pairs) {
+    double d = 0.0;
+    const double* a = pm.RowPtr(pt.u);
+    const double* b = pm.RowPtr(pt.v);
+    for (int c = 0; c < k; ++c) d += a[c] * b[c];
+    const double s = 1.0 / (1.0 + std::exp(-d));
+    const double coeff = g * (s - pt.target);
+    double* du = dp->RowPtr(pt.u);
+    double* dv = dp->RowPtr(pt.v);
+    for (int c = 0; c < k; ++c) {
+      du[c] += coeff * b[c];
+      dv[c] += coeff * a[c];
+    }
+  }
+  return loss;
+}
+
+TEST(ParallelKernels, InnerProductPairBceMatchesSerialBitwise) {
+  // Unsorted pairs with repeats and u == v, as the baseline autoencoders
+  // pass them; enough of them for many pair and row chunks. The last rows
+  // appear in no pair, and row 0 is large enough to take the d > 30 branch
+  // of the softplus.
+  Rng rng(113);
+  const int n = 900, k = 7;
+  Matrix pm = RandomMatrix(n, k, rng, 0.05);
+  for (int c = 0; c < k; ++c) pm(0, c) = 4.0;
+  std::vector<ag::PairTarget> pairs;
+  for (int i = 0; i < 30000; ++i) {
+    const int u = static_cast<int>(rng.NextInt(n - 40));
+    const int v = rng.NextBool(0.05) ? u : static_cast<int>(rng.NextInt(n - 40));
+    const double t = rng.NextBool(0.5) ? 0.0 : rng.Uniform(0.0, 1.0);
+    pairs.push_back({u, v, t});
+    if (rng.NextBool(0.1)) pairs.push_back({u, v, t});  // Repeated pair.
+  }
+  for (int i = 0; i < 50; ++i) pairs.push_back({0, i, 1.0});
+  const double g = 0.37;
+  Matrix want_grad;
+  const double want_loss = SerialPairBce(pm, pairs, g, &want_grad);
+
+  const ag::PairSet shared = pairs;
+  for (int threads : {1, 2, 7}) {
+    ScopedNumThreads guard(threads);
+    // A one-off vector and a reused set take the same path.
+    for (const ag::PairSet& set : {ag::PairSet(pairs), shared}) {
+      ag::VarPtr p = ag::MakeParameter(pm);
+      ag::VarPtr loss = ag::InnerProductPairBce(p, set);
+      const double got_loss = loss->value()(0, 0);
+      EXPECT_EQ(std::memcmp(&got_loss, &want_loss, sizeof(double)), 0)
+          << "loss at " << threads << " threads: " << got_loss << " vs "
+          << want_loss;
+      ag::Backward(ag::Scale(loss, g));
+      ExpectBitEqual(p->grad(), want_grad, "InnerProductPairBce gradient");
+    }
   }
 }
 

@@ -133,6 +133,79 @@ TEST(Resilience, KillAndResumeSampledReconstructionAndEncoder) {
                      "resume_sampled");
 }
 
+TEST(Resilience, SampledPairSetSurvivesResampleRollbackAndResume) {
+  // The sampled pairs and their row incidence are rebuilt at each resample
+  // (every 3 epochs) and on every restore. The fault at epoch 4 rolls back
+  // to the snapshot at epoch 2, so the epoch-3 resample replays; phase 1
+  // stops at 7, and phase 2 resumes from its checkpoint. The graph is big
+  // enough that the pair loss runs in several chunks.
+  Graph g = SmallSbm(17, /*n=*/600);
+  AneciConfig base = TinyConfig();
+  base.reconstruction = ReconstructionMode::kSampled;
+  base.negatives_per_node = 3;
+  base.resample_every = 3;
+  base.watchdog.snapshot_every = 2;
+  auto fault_once_at_4 = [](bool* fired) {
+    return [fired](int epoch) {
+      if (epoch != 4 || *fired) return false;
+      *fired = true;
+      return true;
+    };
+  };
+  auto expect_same = [](const AneciResult& a, const AneciResult& b,
+                        const char* what) {
+    EXPECT_TRUE(BytesEqual(a.z, b.z)) << what;
+    EXPECT_TRUE(BytesEqual(a.p, b.p)) << what;
+    ASSERT_EQ(a.history.size(), b.history.size()) << what;
+    for (size_t e = 0; e < a.history.size(); ++e) {
+      EXPECT_EQ(std::memcmp(&a.history[e].loss, &b.history[e].loss,
+                            sizeof(double)),
+                0)
+          << what << " loss, epoch " << e;
+      EXPECT_EQ(std::memcmp(&a.history[e].modularity,
+                            &b.history[e].modularity, sizeof(double)),
+                0)
+          << what << " modularity, epoch " << e;
+    }
+  };
+
+  std::vector<AneciResult> uninterrupted;
+  for (int threads : {1, 4}) {
+    ScopedNumThreads guard(threads);
+    bool fired = false;
+    AneciConfig full = base;
+    full.epochs = 10;
+    full.divergence_fault_hook = fault_once_at_4(&fired);
+    StatusOr<AneciResult> a = Aneci(full).TrainWithResilience(g);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(a.value().watchdog_rollbacks, 1);
+
+    const std::string dir =
+        FreshDir("pairset_resume_t" + std::to_string(threads));
+    bool fired_phase1 = false;
+    AneciConfig phase1 = base;
+    phase1.epochs = 7;
+    phase1.checkpoint_dir = dir;
+    phase1.checkpoint_every = 5;
+    phase1.divergence_fault_hook = fault_once_at_4(&fired_phase1);
+    StatusOr<AneciResult> partial = Aneci(phase1).TrainWithResilience(g);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    EXPECT_EQ(partial.value().watchdog_rollbacks, 1);
+
+    AneciConfig phase2 = base;
+    phase2.epochs = 10;
+    phase2.checkpoint_dir = dir;
+    phase2.checkpoint_every = 5;
+    phase2.resume_from = dir;
+    StatusOr<AneciResult> resumed = Aneci(phase2).TrainWithResilience(g);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed.value().resumed_from_epoch, 7);
+    expect_same(a.value(), resumed.value(), "resumed vs uninterrupted");
+    uninterrupted.push_back(std::move(a).value());
+  }
+  expect_same(uninterrupted[0], uninterrupted[1], "1 vs 4 threads");
+}
+
 TEST(Resilience, ResumeWithSameBudgetReproducesCheckpointedRun) {
   // Resuming a finished run trains zero extra epochs; the final forward pass
   // over restored weights must reproduce the original embeddings exactly —

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "util/rng.h"
@@ -59,6 +61,24 @@ TEST(Sparse, IdentityAndDenseRoundTrip) {
   ExpectNear(d, Matrix::Identity(4));
   SparseMatrix back = SparseMatrix::FromDense(d);
   EXPECT_EQ(back.nnz(), 4);
+}
+
+TEST(Sparse, IdentityIsByteEqualToFromDenseIdentity) {
+  // AnECI builds the feature operator of an attribute-free graph with
+  // Identity(n), where it once converted a dense identity.
+  for (int n : {0, 1, 7, 300}) {
+    const SparseMatrix a = SparseMatrix::Identity(n);
+    const SparseMatrix b = SparseMatrix::FromDense(Matrix::Identity(n));
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    EXPECT_EQ(a.row_ptr(), b.row_ptr());
+    EXPECT_EQ(a.col_idx(), b.col_idx());
+    ASSERT_EQ(a.values().size(), b.values().size());
+    if (n == 0) continue;  // memcmp must not see the empty vectors' nulls.
+    EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
+                          a.values().size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(Sparse, FromDenseDropTolerance) {
