@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "autograd/memory_planner.h"
@@ -13,13 +14,14 @@
 namespace aneci::ag {
 namespace {
 
-// Creates the output node and installs the backward closure if any input
-// participates in differentiation.
-VarPtr MakeOp(std::vector<VarPtr> parents, Matrix value,
+// Creates the output node, named by the static string `op`, and installs
+// the backward closure if any input participates in differentiation.
+VarPtr MakeOp(const char* op, std::vector<VarPtr> parents, Matrix value,
               std::function<void(Variable&)> backward) {
   bool needs_grad = false;
   for (const VarPtr& p : parents) needs_grad = needs_grad || p->requires_grad();
   auto out = std::make_shared<Variable>(std::move(value), needs_grad);
+  out->op = op;
   if (needs_grad) {
     out->parents = std::move(parents);
     out->backward_fn = std::move(backward);
@@ -33,15 +35,51 @@ Matrix Scalar(double v) {
   return m;
 }
 
+// Elements per chunk of the elementwise loops: each element is computed on
+// its own, so chunking never changes a bit, and 32k elements amortise the
+// ParallelFor dispatch.
+constexpr int64_t kElementGrain = int64_t{1} << 15;
+
+// Rows per chunk for row-wise loops over a matrix with `cols` columns.
+int64_t RowGrain(int cols) {
+  return std::max<int64_t>(1, kElementGrain / std::max(cols, 1));
+}
+
+// True when S has the same pattern as S^T and every stored value equals its
+// mirror bit for bit. Column indices are sorted and unique within a row, so
+// finding each entry's mirror proves the patterns equal.
+bool IsBitSymmetric(const SparseMatrix& s) {
+  if (s.rows() != s.cols()) return false;
+  const std::vector<int64_t>& row_ptr = s.row_ptr();
+  const std::vector<int>& col_idx = s.col_idx();
+  const std::vector<double>& values = s.values();
+  for (int r = 0; r < s.rows(); ++r) {
+    for (int64_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      const int* begin = col_idx.data() + row_ptr[col_idx[e]];
+      const int* end = col_idx.data() + row_ptr[col_idx[e] + 1];
+      const int* mirror = std::lower_bound(begin, end, r);
+      if (mirror == end || *mirror != r) return false;
+      if (std::memcmp(&values[mirror - col_idx.data()], &values[e],
+                      sizeof(double)) != 0)
+        return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-// The GEMM/SpMM backward closures call the kernel backend directly into an
-// arena-acquired buffer (beta == 0 fully overwrites, so uninitialised
-// storage is fine) instead of going through the allocating free functions.
+// Forward values are written into AcquireValue buffers, which come from the
+// thread's epoch arena when a trainer installed one. The GEMM/SpMM closures
+// call the kernel backend directly, forward and backward, into an acquired
+// buffer (beta == 0 fully overwrites, so uninitialised storage is fine)
+// instead of going through the allocating free functions.
 
 VarPtr MatMul(const VarPtr& a, const VarPtr& b) {
-  Matrix value = aneci::MatMul(a->value(), b->value());
-  return MakeOp({a, b}, std::move(value), [a, b](Variable& self) {
+  Matrix value = AcquireValue(a->value().rows(), b->value().cols());
+  kernels::Active().Gemm(false, false, 1.0, a->value(), b->value(), 0.0,
+                         &value);
+  return MakeOp("MatMul", {a, b}, std::move(value), [a, b](Variable& self) {
     const kernels::Backend& be = kernels::Active();
     if (a->requires_grad()) {
       Matrix ga = AcquireGradUninit(a->value().rows(), a->value().cols());
@@ -57,8 +95,11 @@ VarPtr MatMul(const VarPtr& a, const VarPtr& b) {
 }
 
 VarPtr MatMulTransB(const VarPtr& a, const VarPtr& b) {
-  Matrix value = aneci::MatMulTransB(a->value(), b->value());
-  return MakeOp({a, b}, std::move(value), [a, b](Variable& self) {
+  Matrix value = AcquireValue(a->value().rows(), b->value().rows());
+  kernels::Active().Gemm(false, true, 1.0, a->value(), b->value(), 0.0,
+                         &value);
+  return MakeOp("MatMulTransB", {a, b}, std::move(value),
+                [a, b](Variable& self) {
     const kernels::Backend& be = kernels::Active();
     if (a->requires_grad()) {
       Matrix ga = AcquireGradUninit(a->value().rows(), a->value().cols());
@@ -73,10 +114,20 @@ VarPtr MatMulTransB(const VarPtr& a, const VarPtr& b) {
   });
 }
 
+namespace {
+
+Matrix SpmmValue(const SparseMatrix& s, const Matrix& x) {
+  Matrix value = AcquireValue(s.rows(), x.cols());
+  kernels::Active().Spmm(s, x, &value);
+  return value;
+}
+
+}  // namespace
+
 VarPtr SpMM(const SparseMatrix* s, const VarPtr& x) {
   ANECI_CHECK(s != nullptr);
-  Matrix value = s->Multiply(x->value());
-  return MakeOp({x}, std::move(value), [s, x](Variable& self) {
+  return MakeOp("SpMM", {x}, SpmmValue(*s, x->value()),
+                [s, x](Variable& self) {
     if (x->requires_grad()) {
       Matrix gx = AcquireGradUninit(x->value().rows(), x->value().cols());
       kernels::Active().SpmmT(*s, self.grad(), &gx);
@@ -85,17 +136,64 @@ VarPtr SpMM(const SparseMatrix* s, const VarPtr& x) {
   });
 }
 
+SparseOperator::SparseOperator(const SparseMatrix* s)
+    : s_(s), symmetric_(s != nullptr && IsBitSymmetric(*s)) {
+  ANECI_CHECK(s != nullptr);
+}
+
+VarPtr SpMMAddBias(const SparseOperator& op, const VarPtr& x,
+                   const VarPtr& bias) {
+  ANECI_CHECK_EQ(bias->value().rows(), 1);
+  ANECI_CHECK_EQ(bias->value().cols(), x->value().cols());
+  Matrix value = SpmmValue(op.matrix(), x->value());
+  const double* b = bias->value().RowPtr(0);
+  ParallelFor(0, value.rows(), RowGrain(value.cols()),
+              [&](int64_t lo, int64_t hi) {
+    for (int r = static_cast<int>(lo); r < hi; ++r) {
+      double* row = value.RowPtr(r);
+      for (int c = 0; c < value.cols(); ++c) row[c] += b[c];
+    }
+  });
+  const SparseMatrix* s = &op.matrix();
+  const bool symmetric = op.symmetric();
+  return MakeOp("SpMMAddBias", {x, bias}, std::move(value),
+                [s, symmetric, x, bias](Variable& self) {
+    const Matrix& dy = self.grad();
+    if (bias->requires_grad()) {
+      Matrix g = AcquireGradZeroed(1, dy.cols());
+      for (int r = 0; r < dy.rows(); ++r) {
+        const double* row = dy.RowPtr(r);
+        for (int c = 0; c < dy.cols(); ++c) g(0, c) += row[c];
+      }
+      bias->AccumulateGrad(std::move(g));
+    }
+    if (x->requires_grad()) {
+      Matrix gx = AcquireGradUninit(x->value().rows(), x->value().cols());
+      // S^T dY: for a symmetric S that is S dY, whose row-parallel Spmm
+      // beats SpmmT's every-row scan with the same bits.
+      if (symmetric) {
+        kernels::Active().Spmm(*s, dy, &gx);
+      } else {
+        kernels::Active().SpmmT(*s, dy, &gx);
+      }
+      x->AccumulateGrad(std::move(gx));
+    }
+  });
+}
+
 VarPtr Add(const VarPtr& a, const VarPtr& b) {
-  Matrix value = aneci::Add(a->value(), b->value());
-  return MakeOp({a, b}, std::move(value), [a, b](Variable& self) {
+  Matrix value = AcquireValueCopy(a->value());
+  value += b->value();
+  return MakeOp("Add", {a, b}, std::move(value), [a, b](Variable& self) {
     if (a->requires_grad()) a->AccumulateGrad(AcquireGradCopy(self.grad()));
     if (b->requires_grad()) b->AccumulateGrad(AcquireGradCopy(self.grad()));
   });
 }
 
 VarPtr Sub(const VarPtr& a, const VarPtr& b) {
-  Matrix value = aneci::Sub(a->value(), b->value());
-  return MakeOp({a, b}, std::move(value), [a, b](Variable& self) {
+  Matrix value = AcquireValueCopy(a->value());
+  value -= b->value();
+  return MakeOp("Sub", {a, b}, std::move(value), [a, b](Variable& self) {
     if (a->requires_grad()) a->AccumulateGrad(AcquireGradCopy(self.grad()));
     if (b->requires_grad()) {
       Matrix g = AcquireGradCopy(self.grad());
@@ -106,8 +204,10 @@ VarPtr Sub(const VarPtr& a, const VarPtr& b) {
 }
 
 VarPtr Hadamard(const VarPtr& a, const VarPtr& b) {
-  Matrix value = aneci::Hadamard(a->value(), b->value());
-  return MakeOp({a, b}, std::move(value), [a, b](Variable& self) {
+  Matrix value = AcquireValueCopy(a->value());
+  value.HadamardInPlace(b->value());
+  return MakeOp("Hadamard", {a, b}, std::move(value),
+                [a, b](Variable& self) {
     if (a->requires_grad()) {
       Matrix g = AcquireGradCopy(self.grad());
       g.HadamardInPlace(b->value());
@@ -122,8 +222,9 @@ VarPtr Hadamard(const VarPtr& a, const VarPtr& b) {
 }
 
 VarPtr Scale(const VarPtr& a, double s) {
-  Matrix value = aneci::Scale(a->value(), s);
-  return MakeOp({a}, std::move(value), [a, s](Variable& self) {
+  Matrix value = AcquireValueCopy(a->value());
+  value *= s;
+  return MakeOp("Scale", {a}, std::move(value), [a, s](Variable& self) {
     if (a->requires_grad()) {
       Matrix g = AcquireGradCopy(self.grad());
       g *= s;
@@ -135,14 +236,15 @@ VarPtr Scale(const VarPtr& a, double s) {
 VarPtr AddRowBroadcast(const VarPtr& x, const VarPtr& bias) {
   ANECI_CHECK_EQ(bias->value().rows(), 1);
   ANECI_CHECK_EQ(bias->value().cols(), x->value().cols());
-  Matrix value(x->value().rows(), x->value().cols());
+  Matrix value = AcquireValue(x->value().rows(), x->value().cols());
   const double* b = bias->value().RowPtr(0);
   for (int r = 0; r < value.rows(); ++r) {
     const double* in = x->value().RowPtr(r);
     double* row = value.RowPtr(r);
     for (int c = 0; c < value.cols(); ++c) row[c] = in[c] + b[c];
   }
-  return MakeOp({x, bias}, std::move(value), [x, bias](Variable& self) {
+  return MakeOp("AddRowBroadcast", {x, bias}, std::move(value),
+                [x, bias](Variable& self) {
     if (x->requires_grad()) x->AccumulateGrad(AcquireGradCopy(self.grad()));
     if (bias->requires_grad()) {
       Matrix g = AcquireGradZeroed(1, self.grad().cols());
@@ -161,10 +263,12 @@ namespace {
 // std::function per element.
 template <typename F>
 Matrix MapValues(const Matrix& x, F f) {
-  Matrix out(x.rows(), x.cols());
+  Matrix out = AcquireValue(x.rows(), x.cols());
   const double* in = x.data();
   double* o = out.data();
-  for (int64_t i = 0; i < x.size(); ++i) o[i] = f(in[i]);
+  ParallelFor(0, x.size(), kElementGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) o[i] = f(in[i]);
+  });
   return out;
 }
 
@@ -173,7 +277,7 @@ Matrix MapValues(const Matrix& x, F f) {
 VarPtr Relu(const VarPtr& x) {
   Matrix value =
       MapValues(x->value(), [](double v) { return v > 0.0 ? v : 0.0; });
-  return MakeOp({x}, std::move(value), [x](Variable& self) {
+  return MakeOp("Relu", {x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(self.grad());
     for (int64_t i = 0; i < g.size(); ++i)
@@ -184,7 +288,7 @@ VarPtr Relu(const VarPtr& x) {
 
 VarPtr Exp(const VarPtr& x) {
   Matrix value = MapValues(x->value(), [](double v) { return std::exp(v); });
-  return MakeOp({x}, std::move(value), [x](Variable& self) {
+  return MakeOp("Exp", {x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(self.grad());
     g.HadamardInPlace(self.value());
@@ -201,7 +305,7 @@ VarPtr MeanRows(const VarPtr& x) {
     for (int j = 0; j < c; ++j) value(0, j) += row[j];
   }
   for (int j = 0; j < c; ++j) value(0, j) /= n;
-  return MakeOp({x}, std::move(value), [x, n](Variable& self) {
+  return MakeOp("MeanRows", {x}, std::move(value), [x, n](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix dx = AcquireGradUninit(x->value().rows(), x->value().cols());
     const double* g = self.grad().RowPtr(0);
@@ -219,12 +323,17 @@ VarPtr LeakyRelu(const VarPtr& x, double alpha) {
   const double factor[2] = {alpha, 1.0};
   Matrix value = MapValues(
       x->value(), [&factor](double v) { return factor[v > 0.0] * v; });
-  return MakeOp({x}, std::move(value), [x, alpha](Variable& self) {
+  return MakeOp("LeakyRelu", {x}, std::move(value),
+                [x, alpha](Variable& self) {
     if (!x->requires_grad()) return;
     const double dfactor[2] = {1.0, alpha};
-    Matrix g = AcquireGradCopy(self.grad());
-    for (int64_t i = 0; i < g.size(); ++i)
-      g.data()[i] *= dfactor[x->value().data()[i] <= 0.0];
+    const double* dy = self.grad().data();
+    const double* in = x->value().data();
+    Matrix g = AcquireGradUninit(x->value().rows(), x->value().cols());
+    double* out = g.data();
+    ParallelFor(0, g.size(), kElementGrain, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) out[i] = dy[i] * dfactor[in[i] <= 0.0];
+    });
     x->AccumulateGrad(std::move(g));
   });
 }
@@ -232,7 +341,7 @@ VarPtr LeakyRelu(const VarPtr& x, double alpha) {
 VarPtr Sigmoid(const VarPtr& x) {
   Matrix value = MapValues(
       x->value(), [](double v) { return 1.0 / (1.0 + std::exp(-v)); });
-  return MakeOp({x}, std::move(value), [x](Variable& self) {
+  return MakeOp("Sigmoid", {x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(self.grad());
     const double* y = self.value().data();
@@ -243,7 +352,7 @@ VarPtr Sigmoid(const VarPtr& x) {
 
 VarPtr Tanh(const VarPtr& x) {
   Matrix value = MapValues(x->value(), [](double v) { return std::tanh(v); });
-  return MakeOp({x}, std::move(value), [x](Variable& self) {
+  return MakeOp("Tanh", {x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(self.grad());
     const double* y = self.value().data();
@@ -254,7 +363,7 @@ VarPtr Tanh(const VarPtr& x) {
 
 VarPtr Transpose(const VarPtr& x) {
   Matrix value = aneci::Transpose(x->value());
-  return MakeOp({x}, std::move(value), [x](Variable& self) {
+  return MakeOp("Transpose", {x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     const Matrix& dy = self.grad();
     Matrix g = AcquireGradUninit(x->value().rows(), x->value().cols());
@@ -265,27 +374,47 @@ VarPtr Transpose(const VarPtr& x) {
 }
 
 VarPtr RowSoftmax(const VarPtr& x) {
-  Matrix value = aneci::RowSoftmax(x->value());
-  return MakeOp({x}, std::move(value), [x](Variable& self) {
+  // aneci::RowSoftmax's per-row loop, writing into an AcquireValue buffer;
+  // rows are independent, so the chunking never changes a bit.
+  const Matrix& in = x->value();
+  Matrix value = AcquireValue(in.rows(), in.cols());
+  ParallelFor(0, in.rows(), RowGrain(in.cols()), [&](int64_t lo, int64_t hi) {
+    for (int r = static_cast<int>(lo); r < hi; ++r) {
+      const double* row = in.RowPtr(r);
+      double* o = value.RowPtr(r);
+      double mx = row[0];
+      for (int c = 1; c < in.cols(); ++c) mx = std::max(mx, row[c]);
+      double sum = 0.0;
+      for (int c = 0; c < in.cols(); ++c) {
+        o[c] = std::exp(row[c] - mx);
+        sum += o[c];
+      }
+      for (int c = 0; c < in.cols(); ++c) o[c] /= sum;
+    }
+  });
+  return MakeOp("RowSoftmax", {x}, std::move(value), [x](Variable& self) {
     if (!x->requires_grad()) return;
     // dx_row = y (.) (dy - (dy . y)).
     const Matrix& y = self.value();
     const Matrix& dy = self.grad();
     Matrix dx = AcquireGradUninit(y.rows(), y.cols());
-    for (int r = 0; r < y.rows(); ++r) {
-      const double* yr = y.RowPtr(r);
-      const double* dyr = dy.RowPtr(r);
-      double dot = 0.0;
-      for (int c = 0; c < y.cols(); ++c) dot += dyr[c] * yr[c];
-      double* dxr = dx.RowPtr(r);
-      for (int c = 0; c < y.cols(); ++c) dxr[c] = yr[c] * (dyr[c] - dot);
-    }
+    ParallelFor(0, y.rows(), RowGrain(y.cols()), [&](int64_t lo, int64_t hi) {
+      for (int r = static_cast<int>(lo); r < hi; ++r) {
+        const double* yr = y.RowPtr(r);
+        const double* dyr = dy.RowPtr(r);
+        double dot = 0.0;
+        for (int c = 0; c < y.cols(); ++c) dot += dyr[c] * yr[c];
+        double* dxr = dx.RowPtr(r);
+        for (int c = 0; c < y.cols(); ++c) dxr[c] = yr[c] * (dyr[c] - dot);
+      }
+    });
     x->AccumulateGrad(std::move(dx));
   });
 }
 
 VarPtr SumAll(const VarPtr& x) {
-  return MakeOp({x}, Scalar(x->value().Sum()), [x](Variable& self) {
+  return MakeOp("SumAll", {x}, Scalar(x->value().Sum()),
+                [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradUninit(x->value().rows(), x->value().cols());
     g.Fill(self.grad()(0, 0));
@@ -295,7 +424,8 @@ VarPtr SumAll(const VarPtr& x) {
 
 VarPtr MeanAll(const VarPtr& x) {
   const double inv = 1.0 / static_cast<double>(x->value().size());
-  return MakeOp({x}, Scalar(x->value().Sum() * inv), [x, inv](Variable& self) {
+  return MakeOp("MeanAll", {x}, Scalar(x->value().Sum() * inv),
+                [x, inv](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradUninit(x->value().rows(), x->value().cols());
     g.Fill(self.grad()(0, 0) * inv);
@@ -309,7 +439,7 @@ VarPtr SumSquares(const VarPtr& x) {
     const double v = x->value().data()[i];
     s += v * v;
   }
-  return MakeOp({x}, Scalar(s), [x](Variable& self) {
+  return MakeOp("SumSquares", {x}, Scalar(s), [x](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix g = AcquireGradCopy(x->value());
     g *= 2.0 * self.grad()(0, 0);
@@ -335,7 +465,7 @@ VarPtr WeightedBinaryCrossEntropySum(const VarPtr& p, const Matrix& targets,
   }
   // The closure must not dangle: copy targets.
   Matrix t_copy = targets;
-  return MakeOp({p}, Scalar(loss),
+  return MakeOp("WeightedBinaryCrossEntropySum", {p}, Scalar(loss),
                 [p, t_copy = std::move(t_copy), pos_weight, eps](Variable& self) {
                   if (!p->requires_grad()) return;
                   const double g = self.grad()(0, 0);
@@ -377,7 +507,7 @@ VarPtr SoftmaxCrossEntropy(const VarPtr& logits, const std::vector<int>& rows,
   }
   loss /= static_cast<double>(rows.size());
   return MakeOp(
-      {logits}, Scalar(loss),
+      "SoftmaxCrossEntropy", {logits}, Scalar(loss),
       [logits, rows, labels, probs = std::move(probs)](Variable& self) {
         if (!logits->requires_grad()) return;
         const double g = self.grad()(0, 0) / static_cast<double>(rows.size());
@@ -396,24 +526,28 @@ VarPtr SoftmaxCrossEntropy(const VarPtr& logits, const std::vector<int>& rows,
 VarPtr TraceQuadraticSparse(const SparseMatrix* s, const VarPtr& p) {
   ANECI_CHECK(s != nullptr);
   ANECI_CHECK_EQ(s->cols(), p->value().rows());
-  Matrix sp = s->Multiply(p->value());
+  Matrix sp = SpmmValue(*s, p->value());
   double f = 0.0;
   for (int64_t i = 0; i < sp.size(); ++i)
     f += sp.data()[i] * p->value().data()[i];
-  return MakeOp({p}, Scalar(f), [s, p](Variable& self) {
+  VarPtr out = MakeOp("TraceQuadraticSparse", {p}, Scalar(f),
+                      [s, p](Variable& self) {
     if (!p->requires_grad()) return;
     const double g = self.grad()(0, 0);
-    // d/dP [sum(P (.) SP)] = (S + S^T) P.
-    const kernels::Backend& be = kernels::Active();
+    // d/dP [sum(P (.) SP)] = (S + S^T) P, with S P kept from the forward.
+    // S^T P + S P has the bits of S P + S^T P: addition commutes.
     Matrix d = AcquireGradUninit(p->value().rows(), p->value().cols());
-    be.Spmm(*s, p->value(), &d);
-    Matrix dt = AcquireGradUninit(p->value().rows(), p->value().cols());
-    be.SpmmT(*s, p->value(), &dt);
-    d += dt;
-    ReleaseGrad(std::move(dt));
+    kernels::Active().SpmmT(*s, p->value(), &d);
+    d += self.saved;
     d *= g;
     p->AccumulateGrad(std::move(d));
   });
+  if (p->requires_grad()) {
+    out->saved = std::move(sp);
+  } else {
+    ReleaseValue(std::move(sp));
+  }
+  return out;
 }
 
 VarPtr RowWeightedColSumSquares(const VarPtr& p, const std::vector<double>& k) {
@@ -426,7 +560,8 @@ VarPtr RowWeightedColSumSquares(const VarPtr& p, const std::vector<double>& k) {
   }
   double f = 0.0;
   for (double x : v) f += x * x;
-  return MakeOp({p}, Scalar(f), [p, k, v](Variable& self) {
+  return MakeOp("RowWeightedColSumSquares", {p}, Scalar(f),
+                [p, k, v](Variable& self) {
     if (!p->requires_grad()) return;
     const double g = self.grad()(0, 0);
     Matrix d = AcquireGradUninit(p->value().rows(), p->value().cols());
@@ -440,7 +575,8 @@ VarPtr RowWeightedColSumSquares(const VarPtr& p, const std::vector<double>& k) {
 
 VarPtr SelectRows(const VarPtr& x, const std::vector<int>& rows) {
   Matrix value = x->value().SelectRows(rows);
-  return MakeOp({x}, std::move(value), [x, rows](Variable& self) {
+  return MakeOp("SelectRows", {x}, std::move(value),
+                [x, rows](Variable& self) {
     if (!x->requires_grad()) return;
     Matrix dx = AcquireGradZeroed(x->value().rows(), x->value().cols());
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -500,7 +636,7 @@ VarPtr GraphAttention(const SparseMatrix* adj, const VarPtr& h,
   }
 
   return MakeOp(
-      {h, a_src, a_dst}, std::move(out),
+      "GraphAttention", {h, a_src, a_dst}, std::move(out),
       [adj, h, a_src, a_dst, slope, s = std::move(s), t = std::move(t),
        alpha = std::move(alpha)](Variable& self) {
         const Matrix& hm = h->value();
@@ -565,6 +701,11 @@ namespace {
 // range, never on the thread count.
 constexpr int64_t kPairGrain = 4096;
 constexpr int64_t kPairRowGrain = 256;
+// Under an epoch arena the per-pair scratch arrays are rounded up to a
+// multiple of this many entries, so a resample, whose pair count moves by a
+// few, draws the same buffers. The incidence's capacity is rounded the same
+// way.
+constexpr int64_t kPairScratchRows = int64_t{1} << 16;
 
 }  // namespace
 
@@ -591,6 +732,10 @@ PairSet::PairSet(std::vector<PairTarget> pairs) {
   }
   for (int r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
   std::vector<int64_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  // Capacity in whole blocks: a resample's pair count moves by a few, so
+  // its incidence then fits in the block the previous set's freed.
+  data->incidence.reserve((2 * count + kPairScratchRows - 1) /
+                          kPairScratchRows * kPairScratchRows);
   data->incidence.resize(2 * count);
   for (int64_t i = 0; i < count; ++i) {
     const int pair = static_cast<int>(i);
@@ -612,8 +757,15 @@ VarPtr InnerProductPairBce(const VarPtr& p, const PairSet& pairs) {
   const bool needs_grad = p->requires_grad();
   // Per pair: the loss term BCE(sigmoid(d), t) = softplus(d) - t * d and,
   // for the backward, its derivative in d, sigmoid(d) - t.
-  std::vector<double> terms(count);
-  std::vector<double> residuals(needs_grad ? count : 0);
+  const int64_t scratch_rows =
+      EpochArena::Current() == nullptr
+          ? count
+          : (count + kPairScratchRows - 1) / kPairScratchRows *
+                kPairScratchRows;
+  ANECI_CHECK_LE(scratch_rows, INT_MAX);
+  Matrix terms = AcquireValue(static_cast<int>(scratch_rows), 1);
+  Matrix residuals =
+      AcquireValue(needs_grad ? static_cast<int>(scratch_rows) : 0, 1);
   ParallelFor(0, count, kPairGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       const PairTarget& pt = list[i];
@@ -623,18 +775,20 @@ VarPtr InnerProductPairBce(const VarPtr& p, const PairSet& pairs) {
       for (int c = 0; c < k; ++c) d += a[c] * b[c];
       // softplus(d) = log(1 + e^d), overflow-safe.
       const double softplus = d > 30.0 ? d : std::log1p(std::exp(d));
-      terms[i] = softplus - pt.target * d;
-      if (needs_grad) residuals[i] = 1.0 / (1.0 + std::exp(-d)) - pt.target;
+      terms.data()[i] = softplus - pt.target * d;
+      if (needs_grad)
+        residuals.data()[i] = 1.0 / (1.0 + std::exp(-d)) - pt.target;
     }
   });
   double loss = 0.0;
-  for (double term : terms) loss += term;
-  return MakeOp(
-      {p}, Scalar(loss),
-      [p, data = pairs.data_, set_rows,
-       residuals = std::move(residuals)](Variable& self) {
+  for (int64_t i = 0; i < count; ++i) loss += terms.data()[i];
+  ReleaseValue(std::move(terms));
+  VarPtr out = MakeOp(
+      "InnerProductPairBce", {p}, Scalar(loss),
+      [p, data = pairs.data_, set_rows](Variable& self) {
         if (!p->requires_grad()) return;
         const double g = self.grad()(0, 0);
+        const double* residuals = self.saved.data();
         const Matrix& pm = p->value();
         const int k = pm.cols();
         Matrix dp = AcquireGradUninit(pm.rows(), k);
@@ -655,6 +809,8 @@ VarPtr InnerProductPairBce(const VarPtr& p, const PairSet& pairs) {
         });
         p->AccumulateGrad(std::move(dp));
       });
+  out->saved = std::move(residuals);
+  return out;
 }
 
 }  // namespace aneci::ag

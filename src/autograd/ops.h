@@ -21,8 +21,35 @@ VarPtr MatMul(const VarPtr& a, const VarPtr& b);
 VarPtr MatMulTransB(const VarPtr& a, const VarPtr& b);
 
 /// Y = S * X where S is a constant sparse matrix (GCN propagation).
-/// `s` must outlive the backward pass.
+/// `s` must outlive the backward pass, which computes S^T dY with the
+/// kernel backend's SpmmT.
 VarPtr SpMM(const SparseMatrix* s, const VarPtr& x);
+
+/// A constant sparse operator S with a set-up check of whether it is
+/// bit-symmetric (the symmetric GCN propagation is). SpMMAddBias's backward
+/// computes S^T dY as the row-parallel Spmm over S itself when it is,
+/// instead of SpmmT's scan of every row of S from every thread, and with
+/// SpmmT otherwise. Both sum each output row's terms in ascending source
+/// row, so the gradient has the same bits. `s` must outlive the operator.
+class SparseOperator {
+ public:
+  explicit SparseOperator(const SparseMatrix* s);
+
+  const SparseMatrix& matrix() const { return *s_; }
+  /// True when S equals S^T bit for bit.
+  bool symmetric() const { return symmetric_; }
+
+ private:
+  const SparseMatrix* s_;
+  bool symmetric_;
+};
+
+/// Y = S * X + 1 b^T for a (1 x c) bias row b: one node with the value and
+/// gradient bits of AddRowBroadcast(SpMM(&op.matrix(), x), b), without the
+/// intermediate S X value and its gradient copy (a GCN layer's
+/// propagation). `op` must outlive the backward pass.
+VarPtr SpMMAddBias(const SparseOperator& op, const VarPtr& x,
+                   const VarPtr& bias);
 
 VarPtr Add(const VarPtr& a, const VarPtr& b);
 VarPtr Sub(const VarPtr& a, const VarPtr& b);
@@ -70,7 +97,9 @@ VarPtr SoftmaxCrossEntropy(const VarPtr& logits, const std::vector<int>& rows,
                            const std::vector<int>& labels);
 
 /// 1x1 node: sum(P (.) (S P)) for constant sparse S — the observed part of
-/// the trace-form modularity tr(P^T A~ P) without densifying A~.
+/// the trace-form modularity tr(P^T A~ P) without densifying A~. The
+/// forward's S P is kept for the backward, (S + S^T) P, which then computes
+/// only S^T P.
 VarPtr TraceQuadraticSparse(const SparseMatrix* s, const VarPtr& p);
 
 /// 1x1 node: || P^T k ||^2 for a constant vector k — the rank-1 null-model

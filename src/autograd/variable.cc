@@ -1,6 +1,8 @@
 #include "autograd/variable.h"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -10,10 +12,37 @@
 
 namespace aneci::ag {
 
+namespace {
+
+/// The per-op backward histogram, looked up once per op name and thread.
+Histogram* BackwardHistogram(const char* op) {
+  thread_local std::unordered_map<const char*, Histogram*> cache;
+  Histogram*& h = cache[op];
+  if (h == nullptr) {
+    h = MetricsRegistry::Global().GetHistogram(
+        std::string("autograd/backward_ms/") + op,
+        {0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0},
+        MetricClass::kScheduling);
+  }
+  return h;
+}
+
+}  // namespace
+
 uint64_t Variable::next_id_ = 0;
 
 Variable::Variable(Matrix value, bool requires_grad)
-    : value_(std::move(value)), requires_grad_(requires_grad), id_(next_id_++) {}
+    : value_(std::move(value)),
+      requires_grad_(requires_grad),
+      id_(next_id_++),
+      arena_(EpochArena::Current()) {}
+
+Variable::~Variable() {
+  if (arena_ == nullptr) return;
+  arena_->Release(std::move(value_));
+  arena_->Release(std::move(grad_));
+  arena_->Release(std::move(saved));
+}
 
 void Variable::AccumulateGrad(const Matrix& g) {
   ANECI_CHECK(g.rows() == value_.rows() && g.cols() == value_.cols());
@@ -70,10 +99,11 @@ void Backward(const VarPtr& root, const BackwardOptions& opts) {
   std::sort(nodes.begin(), nodes.end(),
             [](const Variable* a, const Variable* b) { return a->id() > b->id(); });
 
-  // The planner scopes buffer recycling to this sweep: closures acquire
-  // gradient matrices through it and a node's buffer returns to the arena
-  // the moment its closure has consumed it (reverse order makes it dead —
-  // all consumers already ran; only closure-less nodes are read later).
+  // Closures acquire gradient matrices through the planner, and a node's
+  // buffer returns to it the moment its closure has consumed it (reverse
+  // order makes it dead — all consumers already ran; only closure-less
+  // nodes are read later). The planner pools them for this sweep, or in the
+  // thread's epoch arena when one is installed.
   MemoryPlanner planner(opts.recycle_buffers);
 
   Matrix seed(1, 1);
@@ -82,13 +112,21 @@ void Backward(const VarPtr& root, const BackwardOptions& opts) {
 
   for (Variable* v : nodes) {
     if (!v->backward_fn || v->grad().empty()) continue;
-    v->backward_fn(*v);
+    if (MetricsEnabled()) {
+      ScopedLatencyTimer timer(BackwardHistogram(v->op));
+      v->backward_fn(*v);
+    } else {
+      v->backward_fn(*v);
+    }
     if (opts.recycle_buffers) ReleaseGrad(std::move(v->mutable_grad()));
   }
 
   static Gauge* peak_bytes = MetricsRegistry::Global().GetGauge(
       "autograd/peak_bytes", MetricClass::kDeterministic);
-  peak_bytes->Set(static_cast<double>(planner.fresh_bytes()));
+  static Gauge* fresh_bytes = MetricsRegistry::Global().GetGauge(
+      "autograd/fresh_bytes", MetricClass::kDeterministic);
+  peak_bytes->Set(static_cast<double>(planner.peak_in_use_bytes()));
+  fresh_bytes->Set(static_cast<double>(planner.fresh_bytes()));
 }
 
 }  // namespace aneci::ag

@@ -20,14 +20,19 @@
 
 namespace aneci::ag {
 
+class EpochArena;
 class Variable;
 using VarPtr = std::shared_ptr<Variable>;
 
 /// A node in the autodiff graph: a dense value, an optional gradient buffer,
-/// and the backward closure installed by the op that produced it.
+/// and the backward closure installed by the op that produced it. A node
+/// created while an epoch arena is installed (autograd/memory_planner.h)
+/// returns its value, gradient and saved buffer to that arena when it is
+/// destroyed.
 class Variable {
  public:
   explicit Variable(Matrix value, bool requires_grad);
+  ~Variable();
 
   Variable(const Variable&) = delete;
   Variable& operator=(const Variable&) = delete;
@@ -59,6 +64,13 @@ class Variable {
   // Graph wiring — used by op constructors.
   std::vector<VarPtr> parents;
   std::function<void(Variable&)> backward_fn;
+  /// Static name of the op that made the node ("MatMul", ...); leaves keep
+  /// "Leaf". Backward() times each closure under `autograd/backward_ms/<op>`.
+  const char* op = "Leaf";
+  /// A forward intermediate the backward closure reads (through `self`),
+  /// held here rather than in the closure so it returns to the epoch arena
+  /// with the node.
+  Matrix saved;
 
  private:
   static uint64_t next_id_;
@@ -67,6 +79,7 @@ class Variable {
   Matrix grad_;
   bool requires_grad_;
   uint64_t id_;
+  std::shared_ptr<EpochArena> arena_;
 };
 
 /// Non-trainable input node.
@@ -76,18 +89,23 @@ VarPtr MakeConstant(Matrix value);
 VarPtr MakeParameter(Matrix value);
 
 struct BackwardOptions {
-  /// Recycle intermediate gradient buffers through the sweep-scoped arena
+  /// Recycle intermediate gradient buffers through the sweep-scoped arena,
+  /// or the thread's epoch arena when one is installed
   /// (autograd/memory_planner.h). Numerics are byte-identical either way;
   /// off additionally keeps intermediate grads readable after the sweep
   /// (with recycling on, only nodes without a backward closure — parameters
   /// and leaves — retain their gradient, which is all any caller in the
-  /// library reads). Either way the sweep publishes its gradient footprint
-  /// as the `autograd/peak_bytes` gauge.
+  /// library reads). Either way the sweep publishes the high-water mark of
+  /// its in-use gradient bytes as the `autograd/peak_bytes` gauge, and the
+  /// bytes its gradient buffers allocated fresh as `autograd/fresh_bytes`.
   bool recycle_buffers = true;
 };
 
 /// Reverse-mode sweep from `root`, which must be 1x1. Seeds droot/droot = 1
 /// and propagates through every reachable node that requires a gradient.
+/// While the metrics registry is enabled, each closure's wall time is
+/// observed into the histogram `autograd/backward_ms/<op>`; disabled, the
+/// sweep pays one flag check per node.
 void Backward(const VarPtr& root);
 void Backward(const VarPtr& root, const BackwardOptions& opts);
 

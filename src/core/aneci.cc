@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "attack/dice.h"
 #include "attack/random_attack.h"
+#include "autograd/memory_planner.h"
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "core/losses.h"
@@ -121,6 +123,10 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
       "train/early_stops", MetricClass::kDeterministic);
   static Gauge* last_loss = MetricsRegistry::Global().GetGauge(
       "train/last_loss", MetricClass::kDeterministic);
+  static Gauge* arena_fresh = MetricsRegistry::Global().GetGauge(
+      "train/arena_fresh_bytes", MetricClass::kDeterministic);
+  static Gauge* arena_reused = MetricsRegistry::Global().GetGauge(
+      "train/arena_reused_bytes", MetricClass::kDeterministic);
   TelemetryRing* ring = MetricsRegistry::Global().GetRing("train/epochs");
   runs->Increment();
 
@@ -146,6 +152,19 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     proximity = HighOrderProximity(graph, config_.proximity);
   }
   const double two_m_scale = proximity.SumAll();
+  // The GCN's S is bit-symmetric, so the propagation's backward runs Spmm
+  // over S itself (ag::SparseOperator). X keeps SpMM's SpmmT backward, which
+  // streams dY in row order; a row-parallel Spmm over a transposed copy of
+  // X gathers a 64-wide row of dY per stored entry instead and runs over
+  // twice as long at the Pubmed analogue's shapes.
+  const ag::SparseOperator s_op(&s_norm);
+
+  // Every epoch rebuilds the same tape, so its forward values and gradients
+  // come from one arena that outlives the epoch (autograd/memory_planner.h):
+  // each tape returns its buffers when it is dropped and the next one draws
+  // them again, instead of first-touching fresh pages.
+  const auto arena = std::make_shared<ag::EpochArena>();
+  const ag::EpochArena::Scope arena_scope(arena);
 
   const bool dense_recon =
       config_.reconstruction == ReconstructionMode::kDense ||
@@ -166,13 +185,12 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   adam.weight_decay = config_.weight_decay;
   ag::Adam optimizer(params, adam);
 
-  auto forward = [&](const SparseMatrix* prop) {
+  auto forward = [&](const ag::SparseOperator& prop) {
     // H1 = LeakyReLU(S X W1 + b1); Z = S H1 W2 + b2.
     VarPtr xw = ag::SpMM(&x_sparse, w1);
-    VarPtr h1 = ag::LeakyRelu(ag::AddRowBroadcast(ag::SpMM(prop, xw), b1),
+    VarPtr h1 = ag::LeakyRelu(ag::SpMMAddBias(prop, xw, b1),
                               config_.leaky_relu_alpha);
-    VarPtr z = ag::AddRowBroadcast(ag::SpMM(prop, ag::MatMul(h1, w2)), b2);
-    return z;
+    return ag::SpMMAddBias(prop, ag::MatMul(h1, w2), b2);
   };
   const bool sampled_encoder =
       config_.encoder == EncoderMode::kSampledNeighbors;
@@ -204,14 +222,19 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     c.watchdog_best_abs_loss = watchdog.best_abs_loss();
     c.rng = rng.state();
     c.adv_rng = adv_rng.state();
+    // The pair copy, the one large block, is allocated first and in whole
+    // blocks of 65,536 pairs: a resample moves the pair count by a few, so
+    // a replaced snapshot's freed copy takes the next one before the
+    // smaller blobs can split it, and the two are not resident together.
+    constexpr size_t kPairBlock = size_t{1} << 16;
+    c.pairs.reserve((pairs.size() + kPairBlock - 1) / kPairBlock * kPairBlock);
+    for (const ag::PairTarget& p : pairs.pairs())
+      c.pairs.push_back({p.u, p.v, p.target});
     for (const VarPtr& p : params) c.params.push_back(ToBlob(p->value()));
     for (const Matrix& m : optimizer.first_moments())
       c.opt_m.push_back(ToBlob(m));
     for (const Matrix& m : optimizer.second_moments())
       c.opt_v.push_back(ToBlob(m));
-    c.pairs.reserve(pairs.size());
-    for (const ag::PairTarget& p : pairs.pairs())
-      c.pairs.push_back({p.u, p.v, p.target});
     c.history = result.history;
     return c;
   };
@@ -247,6 +270,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     watchdog.Restore(c.watchdog_rollbacks, c.watchdog_best_abs_loss);
     rng.set_state(c.rng);
     adv_rng.set_state(c.adv_rng);
+    pairs = ag::PairSet();  // Freed before its successor is built.
     std::vector<ag::PairTarget> restored;
     restored.reserve(c.pairs.size());
     for (const PairBlob& p : c.pairs) restored.push_back({p.u, p.v, p.target});
@@ -278,12 +302,19 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   int last_snapshot_epoch = 0;
 
   while (epoch < config_.epochs) {
+    // The previous epoch's tape is gone; free what it did not draw.
+    arena->EvictIdle();
+
     // Watchdog snapshot at the epoch boundary, before this epoch's RNG
     // draws, so a rollback replays the exact same trajectory modulo the
     // decayed learning rate.
     if (config_.watchdog.enabled &&
         (!have_snapshot ||
          epoch - last_snapshot_epoch >= config_.watchdog.snapshot_every)) {
+      // The arena keeps the epoch's buffers resident between tapes, so
+      // replaced snapshots and pair sets are freed before their successors
+      // are built, keeping the two off the peak together.
+      last_good = TrainingCheckpoint();
       last_good = capture(epoch);
       have_snapshot = true;
       last_snapshot_epoch = epoch;
@@ -291,6 +322,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
 
     if (!dense_recon && config_.resample_every > 0 && epoch > 0 &&
         epoch % config_.resample_every == 0) {
+      pairs = ag::PairSet();
       pairs =
           SampleReconstructionPairs(proximity, config_.negatives_per_node, rng);
     }
@@ -334,12 +366,12 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     optimizer.ZeroGrad();
     // The sampled operator must stay alive through Backward().
     SparseMatrix s_epoch;
-    const SparseMatrix* prop = &s_norm;
+    std::optional<ag::SparseOperator> epoch_op;
     if (sampled_encoder) {
       s_epoch = SampleSageOperator(graph, config_.sage, rng);
-      prop = &s_epoch;
+      epoch_op.emplace(&s_epoch);
     }
-    VarPtr z = forward(prop);
+    VarPtr z = forward(sampled_encoder ? *epoch_op : s_op);
     VarPtr p = ag::RowSoftmax(z);
     VarPtr q = config_.modularity_variant == ModularityVariant::kProduct
                    ? GeneralizedModularityLoss(target, p)
@@ -443,11 +475,13 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   // Final forward pass with trained weights; inference always uses the
   // deterministic full-graph operator.
   TraceSpan final_span("final_forward");  // Path: train/aneci/final_forward.
-  VarPtr z = forward(&s_norm);
+  VarPtr z = forward(s_op);
   result.z = z->value();
   result.p = RowSoftmax(result.z);
   result.watchdog_rollbacks = watchdog.rollbacks();
   result.final_lr = optimizer.lr();
+  arena_fresh->Set(static_cast<double>(arena->fresh_bytes()));
+  arena_reused->Set(static_cast<double>(arena->reused_bytes()));
   return result;
 }
 

@@ -91,6 +91,7 @@ ag::VarPtr GeneralizedModularityMinLoss(const SparseMatrix* proximity,
   scalar(0, 0) = compute(pm, nullptr);
   auto out =
       std::make_shared<ag::Variable>(std::move(scalar), p->requires_grad());
+  out->op = "GeneralizedModularityMinLoss";
   if (!p->requires_grad()) return out;
   out->parents = {p};
   out->backward_fn = [p, compute, two_m](ag::Variable& self) {
@@ -138,6 +139,7 @@ VarPtr DenseReconstructionLoss(const SparseMatrix* proximity,
   scalar(0, 0) = loss;
   auto out = std::make_shared<ag::Variable>(std::move(scalar),
                                             p->requires_grad());
+  out->op = "DenseReconstructionLoss";
   if (!p->requires_grad()) return out;
   out->parents = {p};
   out->backward_fn = [p, proximity](ag::Variable& self) {

@@ -55,7 +55,7 @@ bool Graph::RemoveEdge(int u, int v) {
 const std::vector<int>& Graph::Neighbors(int u) const {
   ANECI_CHECK(u >= 0 && u < num_nodes_);
   EnsureAdjacency();
-  return neighbors_[u];
+  return adjacency_.neighbors[u];
 }
 
 void Graph::SetAttributes(Matrix x) {
@@ -95,17 +95,43 @@ Matrix Graph::FeaturesOrIdentity() const {
   return Matrix::Identity(num_nodes_);
 }
 
-void Graph::InvalidateAdjacency() { adjacency_valid_ = false; }
+Graph::AdjacencyCache& Graph::AdjacencyCache::operator=(
+    const AdjacencyCache& other) {
+  if (this == &other) return *this;
+  const bool built = other.valid.load(std::memory_order_acquire);
+  neighbors = built ? other.neighbors : std::vector<std::vector<int>>();
+  valid.store(built, std::memory_order_release);
+  return *this;
+}
+
+Graph::AdjacencyCache& Graph::AdjacencyCache::operator=(
+    AdjacencyCache&& other) noexcept {
+  if (this == &other) return *this;
+  const bool built = other.valid.load(std::memory_order_acquire);
+  neighbors = built ? std::move(other.neighbors)
+                    : std::vector<std::vector<int>>();
+  valid.store(built, std::memory_order_release);
+  other.valid.store(false, std::memory_order_release);
+  return *this;
+}
+
+// Mutators are non-const, so no reader runs beside them.
+void Graph::InvalidateAdjacency() {
+  adjacency_.valid.store(false, std::memory_order_release);
+}
 
 void Graph::EnsureAdjacency() const {
-  if (adjacency_valid_) return;
-  neighbors_.assign(num_nodes_, {});
+  if (adjacency_.valid.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(adjacency_.mu);
+  if (adjacency_.valid.load(std::memory_order_relaxed)) return;
+  std::vector<std::vector<int>>& neighbors = adjacency_.neighbors;
+  neighbors.assign(num_nodes_, {});
   for (const Edge& e : edges_) {
-    neighbors_[e.u].push_back(e.v);
-    neighbors_[e.v].push_back(e.u);
+    neighbors[e.u].push_back(e.v);
+    neighbors[e.v].push_back(e.u);
   }
-  for (auto& list : neighbors_) std::sort(list.begin(), list.end());
-  adjacency_valid_ = true;
+  for (auto& list : neighbors) std::sort(list.begin(), list.end());
+  adjacency_.valid.store(true, std::memory_order_release);
 }
 
 }  // namespace aneci

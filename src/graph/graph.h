@@ -4,6 +4,8 @@
 #ifndef ANECI_GRAPH_GRAPH_H_
 #define ANECI_GRAPH_GRAPH_H_
 
+#include <atomic>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -86,9 +88,26 @@ class Graph {
   Matrix attributes_;
   std::vector<int> labels_;
 
-  // Neighbor lists derived lazily from edges_.
-  mutable bool adjacency_valid_ = false;
-  mutable std::vector<std::vector<int>> neighbors_;
+  // Neighbor lists derived lazily from edges_. Const readers may share a
+  // Graph across threads, so the first Neighbors() call builds the lists by
+  // double-checked locking: `valid` is read with acquire and set with
+  // release once the lists are complete, and `mu` is held only while
+  // building. Copies and moves carry built lists along.
+  struct AdjacencyCache {
+    AdjacencyCache() = default;
+    AdjacencyCache(const AdjacencyCache& other) { *this = other; }
+    AdjacencyCache(AdjacencyCache&& other) noexcept {
+      *this = std::move(other);
+    }
+    AdjacencyCache& operator=(const AdjacencyCache& other);
+    AdjacencyCache& operator=(AdjacencyCache&& other) noexcept;
+
+    std::mutex mu;
+    std::atomic<bool> valid{false};
+    /// Written only with `mu` held while `valid` is false.
+    std::vector<std::vector<int>> neighbors;
+  };
+  mutable AdjacencyCache adjacency_;
 };
 
 }  // namespace aneci

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "graph/components.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
@@ -76,6 +80,44 @@ TEST(Graph, FeaturesOrIdentityFallsBack) {
   g.SetAttributes(attrs);
   EXPECT_EQ(g.FeaturesOrIdentity().cols(), 2);
   EXPECT_TRUE(g.has_attributes());
+}
+
+TEST(Graph, ConcurrentNeighborsOnAFreshGraphBuildOnce) {
+  // Neighbors() builds the adjacency lists lazily. Four threads calling it
+  // at once on a fresh Graph (and on a copy of one) must all see the lists
+  // a serial build gives; under ThreadSanitizer this also checks the build
+  // is race-free.
+  const int n = 400;
+  std::vector<Edge> edges;
+  Rng rng(11);
+  for (int i = 0; i < 3 * n; ++i)
+    edges.push_back({static_cast<int>(rng.NextInt(n)),
+                     static_cast<int>(rng.NextInt(n))});
+  const Graph reference = Graph::FromEdges(n, edges);
+  std::vector<std::vector<int>> expected(n);
+  for (int u = 0; u < n; ++u) expected[u] = reference.Neighbors(u);
+
+  for (int round = 0; round < 8; ++round) {
+    const Graph fresh = Graph::FromEdges(n, edges);
+    const Graph copy = reference;  // Carries the built lists along.
+    const Graph& g = round % 2 == 0 ? fresh : copy;
+    std::atomic<bool> go{false};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int i = 0; i < n; ++i) {
+          const int u = (i + t * n / 4) % n;
+          if (g.Neighbors(u) != expected[u]) mismatches.fetch_add(1);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+  }
 }
 
 TEST(Graph, LabelsAndClassCount) {

@@ -1,16 +1,22 @@
 // Regression tests for the autograd memory planner
 // (src/autograd/memory_planner.h):
 //
-//   * arena unit behaviour — pow2 bucketing, LIFO reuse, fresh/reused byte
-//     accounting, planner scoping/nesting;
+//   * planner unit behaviour — fresh/reused byte accounting, planner
+//     scoping/nesting;
 //   * the end-to-end guarantee — training a small GCN with buffer recycling
 //     on vs off yields BYTE-identical final parameters, while the
-//     `autograd/peak_bytes` gauge is strictly lower with recycling on.
+//     `autograd/peak_bytes` and `autograd/fresh_bytes` gauges are strictly
+//     lower with recycling on;
+//   * the epoch arena — exact-shape reuse, idle eviction, scoping, nodes
+//     returning their buffers on destruction, and training under an arena
+//     byte-identical to training without one.
 #include "autograd/memory_planner.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -25,37 +31,17 @@
 namespace aneci::ag {
 namespace {
 
-TEST(BufferArena, ReusesReleasedBuffersLifoByBucket) {
-  BufferArena arena;
-  bool fresh = false;
-  // A dry bucket misses: empty vector, fresh set.
-  std::vector<double> a = arena.Acquire(100, &fresh);
-  EXPECT_TRUE(fresh);
-  EXPECT_TRUE(a.empty());
-  a.resize(100);
-  const double* ptr = a.data();
-  arena.Release(std::move(a));
-  // 100 and 80 share the 128-bucket, so the released storage comes back
-  // (same allocation: 80 fits within the released capacity).
-  std::vector<double> b = arena.Acquire(80, &fresh);
-  EXPECT_FALSE(fresh);
-  EXPECT_EQ(b.size(), 80u);
-  EXPECT_EQ(b.data(), ptr);
-  // A different bucket misses even while the 128-bucket was populated.
-  std::vector<double> c = arena.Acquire(1000, &fresh);
-  EXPECT_TRUE(fresh);
-  EXPECT_TRUE(c.empty());
-}
-
 TEST(MemoryPlanner, ScopingAndAccounting) {
   EXPECT_EQ(MemoryPlanner::Current(), nullptr);
   {
     MemoryPlanner outer(/*recycle=*/true);
     EXPECT_EQ(MemoryPlanner::Current(), &outer);
     Matrix m = outer.AcquireUninit(4, 8);
+    const double* storage = m.data();
     EXPECT_EQ(outer.fresh_bytes(), 4u * 8u * sizeof(double));
     outer.Release(std::move(m));
     Matrix r = outer.AcquireUninit(4, 8);
+    EXPECT_EQ(r.data(), storage);  // The released allocation comes back.
     EXPECT_EQ(outer.reused_bytes(), 4u * 8u * sizeof(double));
     EXPECT_EQ(outer.fresh_bytes(), 4u * 8u * sizeof(double));
     {
@@ -100,16 +86,100 @@ TEST(MemoryPlanner, HelpersDegradeGracefullyWithoutPlanner) {
   EXPECT_TRUE(copy.empty());
 }
 
+TEST(EpochArena, ReusesByExactShapeOnly) {
+  EpochArena arena;
+  Matrix a = arena.AcquireUninit(3, 4);
+  const double* ptr = a.data();
+  EXPECT_EQ(arena.fresh_bytes(), 12u * sizeof(double));
+  EXPECT_EQ(arena.in_use_bytes(), 12u * sizeof(double));
+  arena.Release(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(arena.in_use_bytes(), 0u);
+  EXPECT_EQ(arena.resident_bytes(), 12u * sizeof(double));
+  // Same element count, other shape: a miss.
+  Matrix b = arena.AcquireUninit(4, 3);
+  EXPECT_NE(b.data(), ptr);
+  EXPECT_EQ(arena.fresh_bytes(), 24u * sizeof(double));
+  // The released shape comes back, same allocation.
+  Matrix c = arena.AcquireUninit(3, 4);
+  EXPECT_EQ(c.data(), ptr);
+  EXPECT_EQ(arena.reused_bytes(), 12u * sizeof(double));
+  EXPECT_EQ(arena.in_use_bytes(), 24u * sizeof(double));
+}
+
+TEST(EpochArena, EvictIdleFreesWhatThePeriodDidNotDraw) {
+  EpochArena arena;
+  Matrix used = arena.AcquireUninit(5, 2);
+  Matrix idle = arena.AcquireUninit(7, 2);
+  arena.Release(std::move(used));
+  arena.Release(std::move(idle));
+  arena.EvictIdle();  // Both were released this period: kept.
+  EXPECT_EQ(arena.resident_bytes(), 24u * sizeof(double));
+  // Next period draws only the 5 x 2 buffer.
+  Matrix again = arena.AcquireUninit(5, 2);
+  arena.Release(std::move(again));
+  arena.EvictIdle();  // The 7 x 2 buffer sat idle for a whole period.
+  EXPECT_EQ(arena.resident_bytes(), 10u * sizeof(double));
+  EXPECT_EQ(arena.fresh_bytes(), 24u * sizeof(double));
+}
+
+TEST(EpochArena, ScopeInstallsThreadLocallyAndNests) {
+  EXPECT_EQ(EpochArena::Current(), nullptr);
+  auto outer = std::make_shared<EpochArena>();
+  auto inner = std::make_shared<EpochArena>();
+  {
+    EpochArena::Scope a(outer);
+    EXPECT_EQ(EpochArena::Current(), outer);
+    {
+      EpochArena::Scope b(inner);
+      EXPECT_EQ(EpochArena::Current(), inner);
+    }
+    EXPECT_EQ(EpochArena::Current(), outer);
+  }
+  EXPECT_EQ(EpochArena::Current(), nullptr);
+  // Without an arena, values are fresh zero matrices, as before.
+  Matrix v = AcquireValue(2, 3);
+  for (int64_t i = 0; i < v.size(); ++i) EXPECT_EQ(v.data()[i], 0.0);
+}
+
+TEST(EpochArena, NodesReturnTheirBuffersWhenTheTapeIsDropped) {
+  auto arena = std::make_shared<EpochArena>();
+  EpochArena::Scope scope(arena);
+  VarPtr w = MakeParameter(Matrix(4, 3, 0.5));
+  const Matrix x(6, 4, 1.0);
+  const double* first = nullptr;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    arena->EvictIdle();
+    VarPtr h = Relu(MatMul(MakeConstant(x), w));
+    if (epoch == 0) first = h->value().data();
+    // The same tape draws the same buffer every epoch.
+    EXPECT_EQ(h->value().data(), first) << "epoch " << epoch;
+    Backward(SumAll(h));
+    w->ZeroGrad();
+  }
+  // Steady state: only the first epoch allocated forward buffers.
+  const uint64_t after_three = arena->fresh_bytes();
+  {
+    VarPtr h = Relu(MatMul(MakeConstant(x), w));
+    Backward(SumAll(h));
+  }
+  EXPECT_EQ(arena->fresh_bytes(), after_three);
+  EXPECT_GT(arena->reused_bytes(), 0u);
+  EXPECT_EQ(arena->in_use_bytes(), 4u * 3u * sizeof(double))
+      << "only the parameter's gradient stays drawn";
+}
+
 // --- end-to-end: GCN training, planner on vs off -----------------------------
 
 struct TrainResult {
   Matrix w1, w2;
   double peak_bytes;
+  double fresh_bytes;
 };
 
 // A 2-layer GCN on a tiny ring graph, trained for a few steps. All
 // randomness is seeded, so two runs differ only in BackwardOptions.
-TrainResult TrainSmallGcn(bool recycle) {
+TrainResult TrainSmallGcn(bool recycle, bool epoch_arena = false) {
   const int n = 24, in_dim = 12, hidden = 16, classes = 3;
   std::vector<Triplet> trips;
   for (int i = 0; i < n; ++i) {
@@ -134,7 +204,11 @@ TrainResult TrainSmallGcn(bool recycle) {
   VarPtr xc = MakeConstant(x);
   BackwardOptions opts;
   opts.recycle_buffers = recycle;
+  const auto arena = std::make_shared<EpochArena>();
+  std::optional<EpochArena::Scope> scope;
+  if (epoch_arena) scope.emplace(arena);
   for (int step = 0; step < 5; ++step) {
+    arena->EvictIdle();
     VarPtr h = Relu(SpMM(&a_norm, MatMul(xc, w1)));
     VarPtr logits = SpMM(&a_norm, MatMul(h, w2));
     VarPtr loss = SoftmaxCrossEntropy(logits, rows, labels);
@@ -145,7 +219,9 @@ TrainResult TrainSmallGcn(bool recycle) {
 
   Gauge* peak = MetricsRegistry::Global().GetGauge(
       "autograd/peak_bytes", MetricClass::kDeterministic);
-  return {w1->value(), w2->value(), peak->Value()};
+  Gauge* fresh = MetricsRegistry::Global().GetGauge(
+      "autograd/fresh_bytes", MetricClass::kDeterministic);
+  return {w1->value(), w2->value(), peak->Value(), fresh->Value()};
 }
 
 TEST(MemoryPlannerRegression, PlannerOnIsByteIdenticalAndStrictlySmaller) {
@@ -163,12 +239,35 @@ TEST(MemoryPlannerRegression, PlannerOnIsByteIdenticalAndStrictlySmaller) {
             0)
       << "W2 diverged: recycling changed numerics";
 
-  // The gauge holds the last sweep's fresh-byte footprint. With recycling
-  // every acquisition after warm-up hits the arena, so the footprint must be
-  // strictly below the allocate-per-op baseline.
+  // The gauges hold the last sweep's in-use high-water mark and fresh
+  // bytes. With recycling off every acquisition allocates, and only the
+  // addends folded into an existing gradient are freed before the sweep
+  // ends. With recycling on, dead buffers are released (a lower in-use
+  // peak) and drawn again by later acquisitions (fewer fresh bytes).
   EXPECT_GT(off.peak_bytes, 0.0);
+  EXPECT_GE(off.fresh_bytes, off.peak_bytes);
   EXPECT_LT(on.peak_bytes, off.peak_bytes)
       << "planner on did not reduce the gradient footprint";
+  EXPECT_LT(on.fresh_bytes, off.fresh_bytes)
+      << "planner on reused no gradient buffer";
+}
+
+TEST(MemoryPlannerRegression, EpochArenaIsByteIdenticalWithTheSamePeak) {
+  const TrainResult off = TrainSmallGcn(/*recycle=*/true);
+  const TrainResult on = TrainSmallGcn(/*recycle=*/true, /*epoch_arena=*/true);
+  EXPECT_EQ(std::memcmp(on.w1.data(), off.w1.data(),
+                        sizeof(double) * on.w1.size()),
+            0)
+      << "W1 diverged: the epoch arena changed numerics";
+  EXPECT_EQ(std::memcmp(on.w2.data(), off.w2.data(),
+                        sizeof(double) * on.w2.size()),
+            0)
+      << "W2 diverged: the epoch arena changed numerics";
+  // The in-use high-water mark does not depend on which pool served the
+  // buffers; the arena, kept from earlier epochs, served all of them.
+  EXPECT_EQ(on.peak_bytes, off.peak_bytes);
+  EXPECT_GT(off.fresh_bytes, 0.0);
+  EXPECT_EQ(on.fresh_bytes, 0.0);
 }
 
 }  // namespace

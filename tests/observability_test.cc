@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "data/sbm.h"
 #include "embed/embedder.h"
 #include "linalg/matrix.h"
@@ -162,6 +163,35 @@ TEST(RegistryTest, DisabledRegistryRecordsNothing) {
   EXPECT_EQ(c->Value(), 0u);
   EXPECT_EQ(h->Count(), 0u);
   EXPECT_TRUE(ring->Lines().empty());
+}
+
+TEST(BackwardCostTest, EachClosureIsTimedUnderItsOpName) {
+  // One site in ag::Backward times every backward closure into
+  // autograd/backward_ms/<op>; a disabled registry records nothing.
+  Histogram* matmul = MetricsRegistry::Global().GetHistogram(
+      "autograd/backward_ms/MatMul", {1.0}, MetricClass::kScheduling);
+  Histogram* relu = MetricsRegistry::Global().GetHistogram(
+      "autograd/backward_ms/Relu", {1.0}, MetricClass::kScheduling);
+  matmul->Reset();
+  relu->Reset();
+  Rng rng(5);
+  auto sweep = [&] {
+    ag::VarPtr w = ag::MakeParameter(Matrix::RandomNormal(6, 3, 1.0, rng));
+    ag::VarPtr x = ag::MakeConstant(Matrix::RandomNormal(10, 6, 1.0, rng));
+    ag::VarPtr h = ag::MatMul(ag::Relu(ag::MatMul(x, w)),
+                              ag::MakeParameter(Matrix(3, 2, 0.5)));
+    EXPECT_STREQ(h->op, "MatMul");
+    ag::Backward(ag::SumAll(h));
+  };
+  sweep();
+  EXPECT_EQ(matmul->Count(), 2u);
+  EXPECT_EQ(relu->Count(), 1u);
+  EXPECT_GE(matmul->Sum(), 0.0);
+  MetricsRegistry::Global().set_enabled(false);
+  sweep();
+  MetricsRegistry::Global().set_enabled(true);
+  EXPECT_EQ(matmul->Count(), 2u);
+  EXPECT_EQ(relu->Count(), 1u);
 }
 
 TEST(TraceTest, SpansNestIntoSlashPaths) {

@@ -8,12 +8,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "analysis/tsne.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "graph/graph.h"
 #include "graph/proximity.h"
+#include "linalg/kernels/kernels.h"
 #include "linalg/kmeans.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
@@ -302,6 +305,142 @@ TEST(ParallelKernels, InnerProductPairBceMatchesSerialBitwise) {
       ag::Backward(ag::Scale(loss, g));
       ExpectBitEqual(p->grad(), want_grad, "InnerProductPairBce gradient");
     }
+  }
+}
+
+// A random CSR with its first two rows and its last column left empty, and
+// one empty row in the middle.
+SparseMatrix SparseWithEmptyLines(int rows, int cols, double density,
+                                  Rng& rng) {
+  std::vector<Triplet> trips;
+  for (int r = 2; r < rows; ++r) {
+    if (r == rows / 2) continue;
+    for (int c = 0; c + 1 < cols; ++c)
+      if (rng.NextBool(density)) trips.push_back({r, c, rng.Uniform(-2, 2)});
+  }
+  return SparseMatrix::FromTriplets(rows, cols, trips);
+}
+
+TEST(ParallelKernels, TransposedCsrSpmmMatchesSpmmTOnEveryBackend) {
+  // Spmm over S^T's CSR sums output row j's terms in ascending source row,
+  // as SpmmT over S does, so the two agree bit for bit on each backend and
+  // at every thread count, including the zero rows empty lines give.
+  Rng rng(114);
+  for (const std::string& name : kernels::AvailableBackends()) {
+    const kernels::Backend* be = kernels::BackendByName(name);
+    ASSERT_NE(be, nullptr) << name;
+    for (int k : {1, 5, 16, 64}) {
+      const SparseMatrix s = SparseWithEmptyLines(140, 90, 0.08, rng);
+      const SparseMatrix t = s.Transposed();
+      const Matrix x = RandomMatrix(s.rows(), k, rng, 0.1);
+      Matrix want(s.cols(), k);
+      {
+        ScopedNumThreads guard(1);
+        be->SpmmT(s, x, &want);
+      }
+      for (int threads : {1, 2, 7}) {
+        ScopedNumThreads guard(threads);
+        Matrix got(s.cols(), k);
+        got.Fill(std::nan(""));  // Spmm must overwrite every entry.
+        be->Spmm(t, x, &got);
+        ExpectBitEqual(got, want, (name + " Spmm(S^T) vs SpmmT(S)").c_str());
+      }
+    }
+  }
+}
+
+TEST(ParallelKernels, SparseOperatorDetectsBitSymmetry) {
+  // The symmetric GCN propagation is its own transpose, so SpMMAddBias's
+  // backward runs Spmm over it.
+  Rng rng(115);
+  std::vector<Edge> edges;
+  for (int i = 0; i < 600; ++i)
+    edges.push_back({static_cast<int>(rng.NextInt(150)),
+                     static_cast<int>(rng.NextInt(150))});
+  const Graph g = Graph::FromEdges(150, edges);
+  const SparseMatrix s_norm = g.NormalizedAdjacency();
+  EXPECT_TRUE(ag::SparseOperator(&s_norm).symmetric());
+
+  // A row-normalised operator is not symmetric, and neither is one whose
+  // mirror entry differs in the last bit only: both keep SpmmT.
+  const SparseMatrix rw = g.Adjacency(true).RowNormalizedL1();
+  SparseMatrix nudged = s_norm;
+  int64_t off_diagonal = 0;  // Row 0's first entry off the diagonal.
+  while (nudged.col_idx()[off_diagonal] == 0) ++off_diagonal;
+  ASSERT_LT(off_diagonal, nudged.row_ptr()[1]);
+  nudged.mutable_values()[off_diagonal] =
+      std::nextafter(nudged.values()[off_diagonal], 2.0);
+  EXPECT_FALSE(ag::SparseOperator(&rw).symmetric());
+  EXPECT_FALSE(ag::SparseOperator(&nudged).symmetric());
+
+  // SpMMAddBias has the value and gradient bits of AddRowBroadcast(SpMM),
+  // through Spmm on the symmetric operator and SpmmT on the other, at every
+  // thread count.
+  const Matrix x = RandomMatrix(150, 12, rng, 0.1);
+  const Matrix bias = RandomMatrix(1, 12, rng, 0.0);
+  const Matrix upstream = RandomMatrix(150, 12, rng, 0.0);
+  const SparseMatrix* const operators[] = {&s_norm, &rw};
+  for (const SparseMatrix* s : operators) {
+    const ag::SparseOperator op(s);
+    auto run = [&](bool fused, Matrix* dx, Matrix* db) {
+      ag::VarPtr xv = ag::MakeParameter(x);
+      ag::VarPtr bv = ag::MakeParameter(bias);
+      ag::VarPtr y = fused ? ag::SpMMAddBias(op, xv, bv)
+                           : ag::AddRowBroadcast(ag::SpMM(s, xv), bv);
+      ag::Backward(ag::SumAll(ag::Hadamard(y, ag::MakeConstant(upstream))));
+      *dx = xv->grad();
+      *db = bv->grad();
+      return y->value();
+    };
+    Matrix want_dx, want_db;
+    Matrix want_y;
+    {
+      ScopedNumThreads guard(1);
+      want_y = run(false, &want_dx, &want_db);
+    }
+    for (int threads : {1, 2, 7}) {
+      ScopedNumThreads guard(threads);
+      Matrix dx, db;
+      ExpectBitEqual(run(true, &dx, &db), want_y, "SpMMAddBias value");
+      ExpectBitEqual(dx, want_dx, "SpMMAddBias input gradient");
+      ExpectBitEqual(db, want_db, "SpMMAddBias bias gradient");
+    }
+  }
+}
+
+TEST(ParallelKernels, TraceQuadraticSparseReusesTheForwardProduct) {
+  // The backward keeps the forward's S P and adds S^T P to it; the closure
+  // it replaced recomputed S P and added S^T P to that. Same bits, on a
+  // non-symmetric S with empty rows and columns.
+  Rng rng(116);
+  const SparseMatrix s = SparseWithEmptyLines(160, 160, 0.05, rng);
+  const Matrix pm = RandomMatrix(160, 6, rng, 0.05);
+  const double g = -1.7;
+  double want_f = 0.0;
+  Matrix want_grad;
+  {
+    ScopedNumThreads guard(1);
+    const kernels::Backend& be = kernels::Active();
+    Matrix sp(160, 6);
+    be.Spmm(s, pm, &sp);
+    for (int64_t i = 0; i < sp.size(); ++i)
+      want_f += sp.data()[i] * pm.data()[i];
+    Matrix d(160, 6), dt(160, 6);
+    be.Spmm(s, pm, &d);
+    be.SpmmT(s, pm, &dt);
+    d += dt;
+    d *= g;
+    want_grad = d;
+  }
+  for (int threads : {1, 2, 7}) {
+    ScopedNumThreads guard(threads);
+    ag::VarPtr p = ag::MakeParameter(pm);
+    ag::VarPtr f = ag::TraceQuadraticSparse(&s, p);
+    const double got_f = f->value()(0, 0);
+    EXPECT_EQ(std::memcmp(&got_f, &want_f, sizeof(double)), 0)
+        << "loss at " << threads << " threads";
+    ag::Backward(ag::Scale(f, g));
+    ExpectBitEqual(p->grad(), want_grad, "TraceQuadraticSparse gradient");
   }
 }
 

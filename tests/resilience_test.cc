@@ -14,6 +14,7 @@
 #include "data/sbm.h"
 #include "util/checkpoint.h"
 #include "util/env.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace aneci {
@@ -133,12 +134,30 @@ TEST(Resilience, KillAndResumeSampledReconstructionAndEncoder) {
                      "resume_sampled");
 }
 
+// The trainer's epoch-arena traffic of its last run: bytes it had to
+// allocate and bytes it served again from a free list.
+struct ArenaTraffic {
+  double fresh = 0.0;
+  double reused = 0.0;
+};
+
+ArenaTraffic LastArenaTraffic() {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  return {registry.GetGauge("train/arena_fresh_bytes",
+                            MetricClass::kDeterministic)->Value(),
+          registry.GetGauge("train/arena_reused_bytes",
+                            MetricClass::kDeterministic)->Value()};
+}
+
 TEST(Resilience, SampledPairSetSurvivesResampleRollbackAndResume) {
   // The sampled pairs and their row incidence are rebuilt at each resample
   // (every 3 epochs) and on every restore. The fault at epoch 4 rolls back
   // to the snapshot at epoch 2, so the epoch-3 resample replays; phase 1
   // stops at 7, and phase 2 resumes from its checkpoint. The graph is big
-  // enough that the pair loss runs in several chunks.
+  // enough that the pair loss runs in several chunks. Every epoch's tape
+  // draws its buffers from the trainer's epoch arena: across the resamples,
+  // the rollback and the resume they come back from it, rather than fresh,
+  // and the traffic is the same at every thread count.
   Graph g = SmallSbm(17, /*n=*/600);
   AneciConfig base = TinyConfig();
   base.reconstruction = ReconstructionMode::kSampled;
@@ -170,6 +189,7 @@ TEST(Resilience, SampledPairSetSurvivesResampleRollbackAndResume) {
   };
 
   std::vector<AneciResult> uninterrupted;
+  std::vector<ArenaTraffic> traffic;
   for (int threads : {1, 4}) {
     ScopedNumThreads guard(threads);
     bool fired = false;
@@ -179,6 +199,7 @@ TEST(Resilience, SampledPairSetSurvivesResampleRollbackAndResume) {
     StatusOr<AneciResult> a = Aneci(full).TrainWithResilience(g);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     EXPECT_EQ(a.value().watchdog_rollbacks, 1);
+    const ArenaTraffic full_traffic = LastArenaTraffic();
 
     const std::string dir =
         FreshDir("pairset_resume_t" + std::to_string(threads));
@@ -200,10 +221,26 @@ TEST(Resilience, SampledPairSetSurvivesResampleRollbackAndResume) {
     StatusOr<AneciResult> resumed = Aneci(phase2).TrainWithResilience(g);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_EQ(resumed.value().resumed_from_epoch, 7);
+    const ArenaTraffic resumed_traffic = LastArenaTraffic();
+    // Each run allocates one epoch's working set and no more: the three
+    // resamples and the rollback of the full run draw nothing new, and the
+    // resumed run's first epoch allocates what the full run's did.
+    EXPECT_GT(full_traffic.fresh, 0.0);
+    EXPECT_EQ(full_traffic.fresh, resumed_traffic.fresh);
+    EXPECT_GT(full_traffic.reused, 8.0 * full_traffic.fresh);
+    EXPECT_GT(resumed_traffic.reused, resumed_traffic.fresh);
+    traffic.push_back(full_traffic);
+    traffic.push_back(resumed_traffic);
     expect_same(a.value(), resumed.value(), "resumed vs uninterrupted");
     uninterrupted.push_back(std::move(a).value());
   }
   expect_same(uninterrupted[0], uninterrupted[1], "1 vs 4 threads");
+  ASSERT_EQ(traffic.size(), 4u);
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(traffic[run].fresh, traffic[run + 2].fresh) << "1 vs 4 threads";
+    EXPECT_EQ(traffic[run].reused, traffic[run + 2].reused)
+        << "1 vs 4 threads";
+  }
 }
 
 TEST(Resilience, ResumeWithSameBudgetReproducesCheckpointedRun) {

@@ -26,11 +26,15 @@
 # on hardware whose auto-selection would otherwise always pick avx2.
 #
 # Stage 2 is the sanitizer matrix: the fault-injection, attack, serving,
-# streaming and kernel test subsets (-L 'fault|attack|serve|stream|kernels')
-# run under ASan, UBSan, and TSan — the subsets that exercise error paths over
-# partially written buffers and fuzzed protocol frames (ASan), integer/
-# float conversions in the perturbation math and wire decoding (UBSan),
-# and the parallel kernels plus the hot-swap path (TSan). The stream label
+# streaming, kernel and training test subsets
+# (-L 'fault|attack|serve|stream|kernels|training') run under ASan, UBSan,
+# and TSan — the subsets that exercise error paths over partially written
+# buffers and fuzzed protocol frames (ASan), integer/float conversions in
+# the perturbation math and wire decoding (UBSan), and the parallel kernels
+# plus the hot-swap path (TSan). The training label (autograd, losses,
+# AnECI and graph suites) covers the trainer's epoch arena, whose recycled
+# buffers are the use-after-free class ASan catches, and the graph's lazily
+# built adjacency lists, which concurrent readers share. The stream label
 # covers the event-log replay and chaos tests, whose thread-count
 # replay-identity contract is exactly what TSan must see race-free. The
 # TSan build additionally re-runs the thread-pool and defense determinism
@@ -121,7 +125,7 @@ build_leg() {
   return "${unbuilt}"
 }
 
-matrix_labels='fault|attack|serve|stream|kernels'
+matrix_labels='fault|attack|serve|stream|kernels|training'
 
 echo "== stage 2a: AddressSanitizer (${matrix_labels} tests) =="
 cmake -B "${prefix}-asan" -S . -DANECI_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
