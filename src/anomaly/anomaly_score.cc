@@ -17,8 +17,4 @@ std::vector<double> MembershipEntropyScores(const Matrix& p) {
   return scores;
 }
 
-std::vector<double> EmbeddingEntropyScores(const Matrix& z) {
-  return MembershipEntropyScores(RowSoftmax(z));
-}
-
 }  // namespace aneci

@@ -15,10 +15,6 @@ namespace aneci {
 /// AScore(i) = -sum_k p_i^k log p_i^k over the membership rows of `p`.
 std::vector<double> MembershipEntropyScores(const Matrix& p);
 
-/// Convenience: softmax the embedding rows first (the paper computes
-/// p_i = softmax(z_i) before scoring).
-std::vector<double> EmbeddingEntropyScores(const Matrix& z);
-
 }  // namespace aneci
 
 #endif  // ANECI_ANOMALY_ANOMALY_SCORE_H_

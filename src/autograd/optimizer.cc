@@ -5,21 +5,16 @@
 #include "util/check.h"
 
 namespace aneci::ag {
+namespace {
 
-void Sgd::Step() {
-  for (const VarPtr& p : params_) {
-    if (p->grad().empty()) continue;
-    Matrix& w = p->mutable_value();
-    const Matrix& g = p->grad();
-    for (int64_t i = 0; i < w.size(); ++i) {
-      double gi = g.data()[i] + weight_decay_ * w.data()[i];
-      w.data()[i] -= lr_ * gi;
-    }
-  }
-}
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
 
 Adam::Adam(std::vector<VarPtr> params, const Options& options)
-    : Optimizer(std::move(params)), options_(options) {
+    : params_(std::move(params)), options_(options) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const VarPtr& p : params_) {
@@ -43,22 +38,8 @@ void Adam::SetMoments(std::vector<Matrix> m, std::vector<Matrix> v) {
 
 void Adam::Step() {
   ++t_;
-  double scale = 1.0;
-  if (options_.clip_norm > 0.0) {
-    double total = 0.0;
-    for (const VarPtr& p : params_) {
-      if (p->grad().empty()) continue;
-      for (int64_t i = 0; i < p->grad().size(); ++i) {
-        const double g = p->grad().data()[i];
-        total += g * g;
-      }
-    }
-    total = std::sqrt(total);
-    if (total > options_.clip_norm) scale = options_.clip_norm / total;
-  }
-
-  const double bc1 = 1.0 - std::pow(options_.beta1, t_);
-  const double bc2 = 1.0 - std::pow(options_.beta2, t_);
+  const double bc1 = 1.0 - std::pow(kBeta1, t_);
+  const double bc2 = 1.0 - std::pow(kBeta2, t_);
   for (size_t k = 0; k < params_.size(); ++k) {
     const VarPtr& p = params_[k];
     if (p->grad().empty()) continue;
@@ -67,13 +48,12 @@ void Adam::Step() {
     Matrix& m = m_[k];
     Matrix& v = v_[k];
     for (int64_t i = 0; i < w.size(); ++i) {
-      double gi = g.data()[i] * scale + options_.weight_decay * w.data()[i];
-      m.data()[i] = options_.beta1 * m.data()[i] + (1.0 - options_.beta1) * gi;
-      v.data()[i] =
-          options_.beta2 * v.data()[i] + (1.0 - options_.beta2) * gi * gi;
+      double gi = g.data()[i] + options_.weight_decay * w.data()[i];
+      m.data()[i] = kBeta1 * m.data()[i] + (1.0 - kBeta1) * gi;
+      v.data()[i] = kBeta2 * v.data()[i] + (1.0 - kBeta2) * gi * gi;
       const double mhat = m.data()[i] / bc1;
       const double vhat = v.data()[i] / bc2;
-      w.data()[i] -= options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
+      w.data()[i] -= options_.lr * mhat / (std::sqrt(vhat) + kEps);
     }
   }
 }

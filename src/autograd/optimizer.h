@@ -1,4 +1,4 @@
-// First-order optimisers over parameter nodes. The training loop pattern is:
+// Adam over parameter nodes. The training loop pattern is:
 //   optimizer.ZeroGrad(); auto loss = BuildLoss(); Backward(loss);
 //   optimizer.Step();
 #ifndef ANECI_AUTOGRAD_OPTIMIZER_H_
@@ -10,56 +10,29 @@
 
 namespace aneci::ag {
 
-/// Base interface; owns references to the parameters it updates.
-class Optimizer {
+/// Adam (Kingma & Ba 2015) with L2 weight decay folded into the gradient,
+/// at Kingma & Ba's defaults beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
+/// Owns references to the parameters it updates.
+class Adam {
  public:
-  explicit Optimizer(std::vector<VarPtr> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  struct Options {
+    double lr = 0.01;
+    double weight_decay = 0.0;
+  };
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(std::vector<VarPtr> params, const Options& options);
+
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update using the gradients currently stored on parameters.
-  virtual void Step() = 0;
+  void Step();
 
   void ZeroGrad() {
     for (const VarPtr& p : params_) p->ZeroGrad();
   }
 
   const std::vector<VarPtr>& params() const { return params_; }
-
- protected:
-  std::vector<VarPtr> params_;
-};
-
-/// Plain SGD with optional L2 weight decay.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<VarPtr> params, double lr, double weight_decay = 0.0)
-      : Optimizer(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}
-
-  void Step() override;
-
- private:
-  double lr_;
-  double weight_decay_;
-};
-
-/// Adam (Kingma & Ba 2015) with decoupled gradient clipping by global norm.
-class Adam final : public Optimizer {
- public:
-  struct Options {
-    double lr = 0.01;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double eps = 1e-8;
-    double weight_decay = 0.0;
-    double clip_norm = 0.0;  ///< 0 disables clipping.
-  };
-
-  Adam(std::vector<VarPtr> params, const Options& options);
-
-  void Step() override;
 
   // --- Checkpointable state (util/checkpoint.h) ------------------------------
   // Step counter, moment buffers and the (watchdog-adjustable) learning rate
@@ -79,6 +52,7 @@ class Adam final : public Optimizer {
   void SetMoments(std::vector<Matrix> m, std::vector<Matrix> v);
 
  private:
+  std::vector<VarPtr> params_;
   Options options_;
   int t_ = 0;
   std::vector<Matrix> m_;

@@ -1,7 +1,6 @@
 #include "embed/spectral.h"
 
 #include "linalg/eigen.h"
-#include "linalg/kmeans.h"
 #include "util/check.h"
 
 namespace aneci {
@@ -38,18 +37,6 @@ Matrix LaplacianEigenmaps::EmbedImpl(const Graph& graph,
   for (int c = 0; c < take; ++c)
     for (int i = 0; i < n; ++i) embedding(i, c) = eig.vectors(i, c + 1);
   return embedding;
-}
-
-std::vector<int> SpectralClustering(const Graph& graph, int k, Rng& rng) {
-  LaplacianEigenmaps::Options opt;
-  opt.dim = k;
-  LaplacianEigenmaps eigenmaps(opt);
-  EmbedOptions eo;
-  eo.rng = &rng;
-  Matrix embedding = RowNormalizeL2(eigenmaps.Embed(graph, eo));
-  KMeansOptions km;
-  km.restarts = 3;
-  return KMeans(embedding, k, rng, km).assignment;
 }
 
 }  // namespace aneci

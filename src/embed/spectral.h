@@ -1,8 +1,8 @@
 // Laplacian Eigenmaps (Belkin & Niyogi 2003) — the classical spectral
-// embedding the paper's related work traces modern methods back to — and
-// spectral clustering on top of it. Embeds nodes with the eigenvectors of
-// the symmetric normalised Laplacian L = I - D^{-1/2} A D^{-1/2}
-// corresponding to the smallest non-trivial eigenvalues.
+// embedding the paper's related work traces modern methods back to. Embeds
+// nodes with the eigenvectors of the symmetric normalised Laplacian
+// L = I - D^{-1/2} A D^{-1/2} corresponding to the smallest non-trivial
+// eigenvalues.
 #ifndef ANECI_EMBED_SPECTRAL_H_
 #define ANECI_EMBED_SPECTRAL_H_
 
@@ -29,10 +29,6 @@ class LaplacianEigenmaps final : public Embedder {
 
   Options options_;
 };
-
-/// Spectral clustering: Laplacian Eigenmaps into k dimensions, rows L2
-/// normalised, then k-means++. Returns the cluster assignment.
-std::vector<int> SpectralClustering(const Graph& graph, int k, Rng& rng);
 
 }  // namespace aneci
 

@@ -4,37 +4,6 @@
 
 namespace aneci {
 
-ComponentsResult ConnectedComponents(const Graph& graph) {
-  ComponentsResult result;
-  result.component.assign(graph.num_nodes(), -1);
-  std::vector<int> stack;
-  for (int s = 0; s < graph.num_nodes(); ++s) {
-    if (result.component[s] != -1) continue;
-    const int id = result.num_components++;
-    stack.push_back(s);
-    result.component[s] = id;
-    while (!stack.empty()) {
-      const int u = stack.back();
-      stack.pop_back();
-      for (int v : graph.Neighbors(u)) {
-        if (result.component[v] == -1) {
-          result.component[v] = id;
-          stack.push_back(v);
-        }
-      }
-    }
-  }
-  return result;
-}
-
-int LargestComponentSize(const Graph& graph) {
-  ComponentsResult cc = ConnectedComponents(graph);
-  if (cc.num_components == 0) return 0;
-  std::vector<int> sizes(cc.num_components, 0);
-  for (int c : cc.component) ++sizes[c];
-  return *std::max_element(sizes.begin(), sizes.end());
-}
-
 DegreeStats ComputeDegreeStats(const Graph& graph) {
   DegreeStats stats;
   if (graph.num_nodes() == 0) return stats;

@@ -1,23 +1,10 @@
-// Connected components and basic structural statistics of a graph.
+// Basic structural statistics of a graph.
 #ifndef ANECI_GRAPH_COMPONENTS_H_
 #define ANECI_GRAPH_COMPONENTS_H_
-
-#include <vector>
 
 #include "graph/graph.h"
 
 namespace aneci {
-
-/// Component id per node (0-based, by discovery order) and component count.
-struct ComponentsResult {
-  std::vector<int> component;
-  int num_components = 0;
-};
-
-ComponentsResult ConnectedComponents(const Graph& graph);
-
-/// Size of the largest connected component.
-int LargestComponentSize(const Graph& graph);
 
 struct DegreeStats {
   double mean = 0.0;

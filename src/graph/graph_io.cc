@@ -1,5 +1,6 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdlib>

@@ -69,14 +69,6 @@ void Matrix::HadamardInPlace(const Matrix& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
 }
 
-void Matrix::Apply(const std::function<double(double)>& f) {
-  for (double& v : data_) v = f(v);
-}
-
-std::vector<double> Matrix::Row(int r) const {
-  return std::vector<double>(RowPtr(r), RowPtr(r) + cols_);
-}
-
 Matrix Matrix::SelectRows(const std::vector<int>& indices) const {
   Matrix out(static_cast<int>(indices.size()), cols_);
   for (size_t i = 0; i < indices.size(); ++i) {
@@ -190,19 +182,6 @@ Matrix RowNormalizeL1(const Matrix& a) {
   return out;
 }
 
-Matrix RowNormalizeL2(const Matrix& a) {
-  Matrix out = a;
-  for (int r = 0; r < a.rows(); ++r) {
-    double* row = out.RowPtr(r);
-    double s = 0.0;
-    for (int c = 0; c < a.cols(); ++c) s += row[c] * row[c];
-    s = std::sqrt(s);
-    if (s > 0.0)
-      for (int c = 0; c < a.cols(); ++c) row[c] /= s;
-  }
-  return out;
-}
-
 std::vector<double> RowSums(const Matrix& a) {
   std::vector<double> s(a.rows(), 0.0);
   for (int r = 0; r < a.rows(); ++r) {
@@ -210,17 +189,6 @@ std::vector<double> RowSums(const Matrix& a) {
     for (int c = 0; c < a.cols(); ++c) s[r] += row[c];
   }
   return s;
-}
-
-std::vector<double> ColMeans(const Matrix& a) {
-  std::vector<double> m(a.cols(), 0.0);
-  if (a.rows() == 0) return m;
-  for (int r = 0; r < a.rows(); ++r) {
-    const double* row = a.RowPtr(r);
-    for (int c = 0; c < a.cols(); ++c) m[c] += row[c];
-  }
-  for (double& v : m) v /= a.rows();
-  return m;
 }
 
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {

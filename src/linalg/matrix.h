@@ -1,11 +1,10 @@
 // Dense row-major matrix of doubles plus the kernels used throughout the
-// library (GEMM, transpose, row softmax/normalisation, elementwise maps).
+// library (GEMM, transpose, row softmax/normalisation, elementwise ops).
 // Sized for the graph-embedding workloads in this repo: matrices are tall
 // (N x h with h <= few hundred), so kernels are simple cache-friendly loops.
 #ifndef ANECI_LINALG_MATRIX_H_
 #define ANECI_LINALG_MATRIX_H_
 
-#include <functional>
 #include <vector>
 
 #include "util/check.h"
@@ -94,12 +93,6 @@ class Matrix {
   /// Elementwise product, in place.
   void HadamardInPlace(const Matrix& other);
 
-  /// Applies f to every entry, in place.
-  void Apply(const std::function<double(double)>& f);
-
-  /// Row `r` as a copy.
-  std::vector<double> Row(int r) const;
-
   /// Extracts the sub-matrix of the given rows (in order).
   Matrix SelectRows(const std::vector<int>& indices) const;
 
@@ -138,14 +131,8 @@ Matrix RowSoftmax(const Matrix& a);
 /// Rows scaled to unit L1 norm (rows with zero norm are left as zero).
 Matrix RowNormalizeL1(const Matrix& a);
 
-/// Rows scaled to unit L2 norm (zero rows left as zero).
-Matrix RowNormalizeL2(const Matrix& a);
-
 /// Per-row sums, as an (n x 1) column.
 std::vector<double> RowSums(const Matrix& a);
-
-/// Per-column means.
-std::vector<double> ColMeans(const Matrix& a);
 
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
 double CosineSimilarity(const double* a, const double* b, int n);

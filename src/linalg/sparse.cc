@@ -92,18 +92,12 @@ Matrix SparseMatrix::ToDense() const {
   return d;
 }
 
-// Both SpMM entry points are forwarding shims over the process-wide kernel
-// backend (linalg/kernels/kernels.h); validation and metrics live there.
+// A forwarding shim over the process-wide kernel backend
+// (linalg/kernels/kernels.h); validation and metrics live there.
 
 Matrix SparseMatrix::Multiply(const Matrix& x) const {
   Matrix y(rows_, x.cols());
   kernels::Active().Spmm(*this, x, &y);
-  return y;
-}
-
-Matrix SparseMatrix::MultiplyTransposed(const Matrix& x) const {
-  Matrix y(cols_, x.cols());
-  kernels::Active().SpmmT(*this, x, &y);
   return y;
 }
 

@@ -59,9 +59,6 @@ class SparseMatrix {
   /// y = this * x for a dense matrix x: (m x n) * (n x k) -> (m x k).
   Matrix Multiply(const Matrix& x) const;
 
-  /// y = this^T * x: (m x n)^T * (m x k) -> (n x k).
-  Matrix MultiplyTransposed(const Matrix& x) const;
-
   /// Sparse-sparse product (SpGEMM). Entries with |v| <= drop_tol are
   /// discarded from the result.
   SparseMatrix MultiplySparse(const SparseMatrix& other,

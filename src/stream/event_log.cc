@@ -18,18 +18,6 @@ std::string EventContext(const EventBatch& batch, size_t index) {
 
 }  // namespace
 
-const char* EventKindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kAddEdge:
-      return "add-edge";
-    case EventKind::kRemoveEdge:
-      return "remove-edge";
-    case EventKind::kSetAttribute:
-      return "set-attribute";
-  }
-  return "?";
-}
-
 GraphEvent GraphEvent::AddEdge(int u, int v) {
   return {EventKind::kAddEdge, u, v, 0.0};
 }

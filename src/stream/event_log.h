@@ -36,9 +36,6 @@ enum class EventKind : uint8_t {
   kSetAttribute = 2,  ///< Set attribute column v of node u to `value`.
 };
 
-/// "add-edge", "remove-edge", "set-attribute".
-const char* EventKindName(EventKind kind);
-
 struct GraphEvent {
   EventKind kind = EventKind::kAddEdge;
   int32_t u = 0;  ///< Node id (edge endpoint / attribute row).

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/modularity.h"
-#include "linalg/gmm.h"
 #include "linalg/kmeans.h"
 #include "tasks/metrics.h"
 #include "util/check.h"
@@ -40,14 +39,6 @@ CommunityResult DetectCommunitiesArgmax(const Graph& graph,
                                         const Matrix& membership) {
   ANECI_CHECK_EQ(membership.rows(), graph.num_nodes());
   return Finish(graph, ArgmaxAssignment(membership));
-}
-
-CommunityResult DetectCommunitiesGmm(const Graph& graph,
-                                     const Matrix& embedding, int k,
-                                     Rng& rng) {
-  ANECI_CHECK_EQ(embedding.rows(), graph.num_nodes());
-  GmmResult gmm = FitGmm(embedding, k, rng);
-  return Finish(graph, std::move(gmm.assignment));
 }
 
 }  // namespace aneci

@@ -30,12 +30,6 @@ CommunityResult DetectCommunitiesKMeans(const Graph& graph,
 CommunityResult DetectCommunitiesArgmax(const Graph& graph,
                                         const Matrix& membership);
 
-/// ComE-style detection: fits a k-component Gaussian mixture in the
-/// embedding space and assigns each node to its most responsible component
-/// (soft communities as Gaussians, hardened for evaluation).
-CommunityResult DetectCommunitiesGmm(const Graph& graph,
-                                     const Matrix& embedding, int k, Rng& rng);
-
 }  // namespace aneci
 
 #endif  // ANECI_TASKS_COMMUNITY_H_

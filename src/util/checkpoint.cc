@@ -7,11 +7,10 @@
 namespace aneci {
 namespace {
 
-// v2 appends the adversarial-training RNG block after the epoch history;
-// v1 files (no adversarial training existed then) still parse, with the
-// block left zeroed.
+// v2 appends the adversarial-training RNG block after the epoch history.
+// Only v2 is read: every writer seals v2, and a checkpoint is resume state
+// for one run, not an archive.
 constexpr uint32_t kVersion = 2;
-constexpr uint32_t kMinVersion = 1;
 
 void PutRngState(std::string* out, const Rng::State& st) {
   for (uint64_t s : st.s) PutScalarLe<uint64_t>(out, s);
@@ -82,7 +81,7 @@ std::string SerializeCheckpoint(const TrainingCheckpoint& c) {
     PutDoubleLe(&payload, h.modularity);
     PutDoubleLe(&payload, h.rigidity);
   }
-  PutRngState(&payload, c.adv_rng);  // v2 trailer.
+  PutRngState(&payload, c.adv_rng);
   return Seal("ANCK", kVersion, payload);
 }
 
@@ -90,7 +89,7 @@ StatusOr<TrainingCheckpoint> ParseCheckpoint(std::string_view bytes,
                                              const std::string& origin) {
   ANECI_ASSIGN_OR_RETURN(
       const Envelope envelope,
-      Open(bytes, "ANCK", kMinVersion, kVersion, "checkpoint", origin));
+      Open(bytes, "ANCK", kVersion, kVersion, "checkpoint", origin));
   TrainingCheckpoint c;
   ByteReader reader(envelope.payload, "checkpoint payload", origin);
   ANECI_RETURN_IF_ERROR(reader.Get(&c.config_fingerprint));
@@ -123,8 +122,7 @@ StatusOr<TrainingCheckpoint> ParseCheckpoint(std::string_view bytes,
     ANECI_RETURN_IF_ERROR(reader.GetDouble(&h.modularity));
     ANECI_RETURN_IF_ERROR(reader.GetDouble(&h.rigidity));
   }
-  if (envelope.version >= 2)
-    ANECI_RETURN_IF_ERROR(GetRngState(&reader, &c.adv_rng));
+  ANECI_RETURN_IF_ERROR(GetRngState(&reader, &c.adv_rng));
   if (!reader.exhausted())
     return Status::InvalidArgument("checkpoint has trailing bytes: " + origin);
   return c;

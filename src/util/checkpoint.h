@@ -5,10 +5,9 @@
 // counters, watchdog state, and the epoch history.
 //
 // The file is the shared envelope of util/byteio.h with magic "ANCK",
-// version 2 (v1 still loads — it lacks only the trailing adversarial-RNG
-// block, which is zeroed), and the payload spelled out field by field in
-// docs/robustness.md §6. Writes go through Env::WriteFileAtomic, so a crash
-// mid-save never clobbers the previous snapshot.
+// version 2 (the only version read), and the payload spelled out field by
+// field in docs/robustness.md §6. Writes go through Env::WriteFileAtomic, so
+// a crash mid-save never clobbers the previous snapshot.
 //
 // This header lives in util (below linalg), so tensors are carried as plain
 // {rows, cols, data} blobs; trainers convert to/from their matrix type.
@@ -66,10 +65,7 @@ struct TrainingCheckpoint {
   double watchdog_best_abs_loss = 0.0;
 
   Rng::State rng;  ///< The training stream.
-  /// Adversarial-training perturbation stream (format v2; zeroed when
-  /// loading a v1 file, which can only have been written by a
-  /// non-adversarial run).
-  Rng::State adv_rng;
+  Rng::State adv_rng;  ///< Adversarial-training perturbation stream.
 
   std::vector<TensorBlob> params;
   std::vector<TensorBlob> opt_m;

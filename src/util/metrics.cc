@@ -53,11 +53,12 @@ void AtomicMaxDouble(std::atomic<uint64_t>* bits, double v) {
   }
 }
 
-}  // namespace
-
+/// "det" or "sched" — the `class` field of every JSONL metric record.
 const char* MetricClassName(MetricClass cls) {
   return cls == MetricClass::kDeterministic ? "det" : "sched";
 }
+
+}  // namespace
 
 uint64_t Counter::Value() const {
   uint64_t sum = 0;

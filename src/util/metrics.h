@@ -45,9 +45,6 @@ class Env;
 /// (timings, steal counts, serial fallbacks) may vary run to run.
 enum class MetricClass { kDeterministic, kScheduling };
 
-/// "det" or "sched" — the `class` field of every JSONL metric record.
-const char* MetricClassName(MetricClass cls);
-
 namespace metrics_internal {
 
 /// Shard count for per-thread striping. A power of two; threads beyond

@@ -119,13 +119,6 @@ TEST(MembershipEntropy, UniformRowsScoreHighest) {
   EXPECT_GT(s[2], s[0]);
 }
 
-TEST(MembershipEntropy, EmbeddingVariantSoftmaxesFirst) {
-  Matrix z = Matrix::FromRows({{100.0, 0.0}, {0.0, 0.0}});
-  std::vector<double> s = EmbeddingEntropyScores(z);
-  EXPECT_LT(s[0], 1e-6);            // Near one-hot after softmax.
-  EXPECT_NEAR(s[1], std::log(2.0), 1e-9);  // Uniform after softmax.
-}
-
 TEST(IsolationForestTest, DetectsPlantedOutliersInGaussianBlob) {
   Rng rng(12);
   const int n = 300, outliers = 15;

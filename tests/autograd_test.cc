@@ -81,7 +81,10 @@ TEST(Autograd, ActivationGradients) {
   // Shift away from the ReLU kink so finite differences are clean.
   Rng rng(14);
   Matrix v = Matrix::RandomNormal(3, 4, 1.0, rng);
-  v.Apply([](double x) { return std::abs(x) < 0.05 ? x + 0.2 : x; });
+  for (int64_t i = 0; i < v.size(); ++i) {
+    double& e = v.data()[i];
+    if (std::abs(e) < 0.05) e += 0.2;
+  }
   auto x = MakeParameter(v);
   ExpectGradOk(x, [&] { return SumSquares(Relu(x)); });
   ExpectGradOk(x, [&] { return SumSquares(LeakyRelu(x, 0.01)); });
@@ -313,17 +316,6 @@ TEST(Autograd, ZeroGradClears) {
 
 // --- Optimisers ---------------------------------------------------------------
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  auto w = MakeParameter(Matrix(1, 1, 5.0));
-  Sgd opt({w}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    opt.ZeroGrad();
-    Backward(SumSquares(w));  // f = w^2, min at 0.
-    opt.Step();
-  }
-  EXPECT_NEAR(w->value()(0, 0), 0.0, 1e-6);
-}
-
 TEST(Optimizer, AdamConvergesOnShiftedQuadratic) {
   auto w = MakeParameter(Matrix(2, 2, 3.0));
   Matrix target(2, 2, -1.0);
@@ -339,29 +331,21 @@ TEST(Optimizer, AdamConvergesOnShiftedQuadratic) {
     EXPECT_NEAR(w->value().data()[i], -1.0, 1e-3);
 }
 
-TEST(Optimizer, AdamClipNormBoundsUpdate) {
-  auto w = MakeParameter(Matrix(1, 1, 0.0));
-  Adam::Options opt;
-  opt.lr = 1.0;
-  opt.clip_norm = 1e-3;
-  Adam adam({w}, opt);
-  adam.ZeroGrad();
-  // Gradient = 2e6 * w - huge? Use a linear loss with big slope instead.
-  auto loss = Scale(SumAll(w), 1e6);
-  Backward(loss);
-  adam.Step();
-  // With clipping the step magnitude stays ~lr regardless of slope.
-  EXPECT_LT(std::abs(w->value()(0, 0)), 2.0);
-}
-
 TEST(Optimizer, WeightDecayShrinksWeights) {
+  // Adam folds L2 decay into the gradient: g + weight_decay * w.
   auto w = MakeParameter(Matrix(1, 1, 1.0));
-  Sgd opt({w}, 0.1, /*weight_decay=*/0.5);
-  // Loss gradient is zero; only decay acts.
-  opt.ZeroGrad();
-  Backward(Scale(SumAll(w), 0.0));
-  opt.Step();
-  EXPECT_NEAR(w->value()(0, 0), 1.0 - 0.1 * 0.5, 1e-12);
+  auto u = MakeParameter(Matrix(1, 1, 1.0));
+  Adam::Options opt;
+  opt.lr = 0.1;
+  opt.weight_decay = 0.5;
+  Adam adam({w, u}, opt);
+  adam.ZeroGrad();
+  // w's loss gradient is zero, so only decay acts: mhat = 0.5 and vhat = 0.25
+  // exactly on the first step. u's gradient of -0.5 cancels its decay term.
+  Backward(Add(Scale(SumAll(w), 0.0), Scale(SumAll(u), -0.5)));
+  adam.Step();
+  EXPECT_DOUBLE_EQ(w->value()(0, 0), 1.0 - 0.1 * 0.5 / (0.5 + 1e-8));
+  EXPECT_EQ(u->value()(0, 0), 1.0);
 }
 
 }  // namespace

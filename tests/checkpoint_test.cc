@@ -92,17 +92,6 @@ void ExpectCheckpointsEqual(const TrainingCheckpoint& a,
             0);
 }
 
-/// Rewrites v2 bytes into the v1 format: strip the 41-byte adversarial-RNG
-/// trailer and re-seal as version 1. This is exactly what a writer from
-/// before adversarial training produced.
-std::string DowngradeToV1(const std::string& bytes) {
-  constexpr size_t kHeader = 4 + 4 + 8 + 4;
-  constexpr size_t kAdvTrailer = 4 * 8 + 1 + 8;
-  return Seal("ANCK", 1,
-              std::string_view(bytes).substr(
-                  kHeader, bytes.size() - kHeader - kAdvTrailer));
-}
-
 // --- CRC-32 -----------------------------------------------------------------
 
 TEST(Crc32, KnownVectors) {
@@ -128,19 +117,22 @@ TEST(Checkpoint, SerializeParseRoundtrip) {
   ExpectCheckpointsEqual(original, loaded.value());
 }
 
-TEST(Checkpoint, V1FilesParseWithZeroedAdvBlock) {
-  // Backward compatibility with pre-adversarial checkpoints: a v1 file (no
-  // trailer) must load, with the adversarial RNG block left at its zero
-  // defaults.
-  const TrainingCheckpoint original = MakeCheckpoint(3);
-  StatusOr<TrainingCheckpoint> loaded =
-      ParseCheckpoint(DowngradeToV1(SerializeCheckpoint(original)), "mem-v1");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().next_epoch, 3);
-  EXPECT_EQ(loaded.value().rng.s[0], original.rng.s[0]);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(loaded.value().adv_rng.s[i], 0u);
-  EXPECT_FALSE(loaded.value().adv_rng.has_gauss);
-  EXPECT_EQ(loaded.value().adv_rng.gauss, 0.0);
+TEST(Checkpoint, V1FilesRejectedNamingTheVersion) {
+  // Only v2 is read. A v1 file (the v2 payload without its 41-byte
+  // adversarial-RNG trailer, sealed as version 1) gets a typed error that
+  // names the version, not a parse with a zeroed block.
+  constexpr size_t kHeader = 4 + 4 + 8 + 4;
+  constexpr size_t kAdvTrailer = 4 * 8 + 1 + 8;
+  const std::string v2 = SerializeCheckpoint(MakeCheckpoint(3));
+  const std::string v1 = Seal(
+      "ANCK", 1,
+      std::string_view(v2).substr(kHeader, v2.size() - kHeader - kAdvTrailer));
+  StatusOr<TrainingCheckpoint> loaded = ParseCheckpoint(v1, "mem-v1");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.status().message(),
+            "unsupported checkpoint version 1 (this build reads version 2): "
+            "mem-v1");
 }
 
 TEST(Checkpoint, SaveLoadRoundtripOnDisk) {
@@ -244,7 +236,7 @@ TEST(Checkpoint, UnsupportedVersionMessageNamesReadableRange) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().message(),
             "unsupported checkpoint version 99 "
-            "(this build reads versions 1..2): run7/ckpt");
+            "(this build reads version 2): run7/ckpt");
 }
 
 TEST(Checkpoint, CrcMismatchMessageNamesBothChecksums) {

@@ -5,8 +5,6 @@
 #include "data/sbm.h"
 #include "embed/spectral.h"
 #include "linalg/eigen.h"
-#include "linalg/gmm.h"
-#include "tasks/metrics.h"
 #include "util/rng.h"
 
 namespace aneci {
@@ -88,18 +86,6 @@ TEST(Lanczos, EigenpairsSatisfyDefinition) {
   }
 }
 
-TEST(SpectralClusteringTest, RecoversPlantedBlocks) {
-  SbmOptions opt;
-  opt.num_nodes = 200;
-  opt.num_classes = 2;
-  opt.num_edges = 1000;
-  opt.intra_fraction = 0.95;
-  Rng rng(5);
-  Graph g = GenerateSbm(opt, rng);
-  std::vector<int> clusters = SpectralClustering(g, 2, rng);
-  EXPECT_GT(NormalizedMutualInformation(clusters, g.labels()), 0.6);
-}
-
 TEST(LaplacianEigenmapsTest, EmbeddingSeparatesBlocks) {
   SbmOptions opt;
   opt.num_nodes = 150;
@@ -136,67 +122,6 @@ TEST(LaplacianEigenmapsTest, EmbeddingSeparatesBlocks) {
     }
   }
   EXPECT_LT(intra / n_intra, inter / n_inter);
-}
-
-// --- GMM -------------------------------------------------------------------------
-
-TEST(Gmm, RecoversSeparatedComponents) {
-  Rng rng(7);
-  const int per = 60;
-  Matrix pts(3 * per, 2);
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < per; ++i) {
-      pts(c * per + i, 0) = 8.0 * c + 0.5 * rng.NextGaussian();
-      pts(c * per + i, 1) = 0.5 * rng.NextGaussian();
-    }
-  }
-  GmmResult gmm = FitGmm(pts, 3, rng);
-  // Components pure: every block shares one assignment.
-  for (int c = 0; c < 3; ++c) {
-    const int rep = gmm.assignment[c * per];
-    for (int i = 1; i < per; ++i) EXPECT_EQ(gmm.assignment[c * per + i], rep);
-  }
-  // Weights near 1/3 each.
-  for (double w : gmm.weights) EXPECT_NEAR(w, 1.0 / 3.0, 0.05);
-}
-
-TEST(Gmm, ResponsibilitiesAreDistributions) {
-  Rng rng(8);
-  Matrix pts = Matrix::RandomNormal(80, 3, 1.0, rng);
-  GmmResult gmm = FitGmm(pts, 4, rng);
-  for (int i = 0; i < 80; ++i) {
-    double sum = 0.0;
-    for (int c = 0; c < 4; ++c) {
-      EXPECT_GE(gmm.responsibilities(i, c), 0.0);
-      sum += gmm.responsibilities(i, c);
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-  }
-}
-
-TEST(Gmm, LogLikelihoodImprovesOverIterations) {
-  Rng rng(9);
-  Matrix pts(100, 2);
-  for (int i = 0; i < 100; ++i) {
-    pts(i, 0) = (i < 50 ? -3.0 : 3.0) + rng.NextGaussian();
-    pts(i, 1) = rng.NextGaussian();
-  }
-  GmmOptions one_it;
-  one_it.max_iterations = 1;
-  Rng r1(10), r2(10);
-  const double ll1 = FitGmm(pts, 2, r1, one_it).log_likelihood;
-  const double ll20 = FitGmm(pts, 2, r2).log_likelihood;
-  EXPECT_GE(ll20, ll1 - 1e-6);
-}
-
-TEST(Gmm, VarianceFloorHolds) {
-  Rng rng(11);
-  Matrix pts(30, 2, 5.0);  // Degenerate: all identical points.
-  GmmOptions opt;
-  opt.min_variance = 1e-3;
-  GmmResult gmm = FitGmm(pts, 2, rng, opt);
-  for (int c = 0; c < 2; ++c)
-    for (int d = 0; d < 2; ++d) EXPECT_GE(gmm.variances(c, d), 1e-3);
 }
 
 }  // namespace

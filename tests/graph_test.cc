@@ -129,20 +129,6 @@ TEST(Graph, LabelsAndClassCount) {
 
 // --- Components ----------------------------------------------------------------
 
-TEST(Components, SingleComponent) {
-  ComponentsResult cc = ConnectedComponents(Triangle());
-  EXPECT_EQ(cc.num_components, 1);
-}
-
-TEST(Components, DisconnectedPieces) {
-  Graph g = Graph::FromEdges(6, {{0, 1}, {2, 3}});
-  ComponentsResult cc = ConnectedComponents(g);
-  EXPECT_EQ(cc.num_components, 4);  // {0,1}, {2,3}, {4}, {5}.
-  EXPECT_EQ(cc.component[0], cc.component[1]);
-  EXPECT_NE(cc.component[0], cc.component[2]);
-  EXPECT_EQ(LargestComponentSize(g), 2);
-}
-
 TEST(Components, DegreeStats) {
   Graph g = Graph::FromEdges(4, {{0, 1}, {0, 2}, {0, 3}});
   DegreeStats stats = ComputeDegreeStats(g);

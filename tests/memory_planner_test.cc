@@ -200,7 +200,9 @@ TrainResult TrainSmallGcn(bool recycle, bool epoch_arena = false) {
     labels.push_back(i % classes);
   }
 
-  Sgd opt({w1, w2}, /*lr=*/0.05);
+  Adam::Options adam;
+  adam.lr = 0.05;
+  Adam opt({w1, w2}, adam);
   VarPtr xc = MakeConstant(x);
   BackwardOptions opts;
   opts.recycle_buffers = recycle;

@@ -139,10 +139,7 @@ TEST(ParallelKernels, SpmmMatchesSerialBitwise) {
     Rng rng(4000 + static_cast<uint64_t>(density * 100));
     const SparseMatrix s = RandomSparse(rows, cols, density, rng);
     const Matrix x = RandomMatrix(cols, k, rng, 0.0);
-    const Matrix xt = RandomMatrix(rows, k, rng, 0.0);
     CheckDense([&] { return s.Multiply(x); }, "SparseMatrix::Multiply");
-    CheckDense([&] { return s.MultiplyTransposed(xt); },
-               "SparseMatrix::MultiplyTransposed");
   }
 }
 

@@ -95,13 +95,6 @@ TEST(Sparse, MultiplyMatchesDense) {
   ExpectNear(s.Multiply(x), MatMul(s.ToDense(), x));
 }
 
-TEST(Sparse, MultiplyTransposedMatchesDense) {
-  Rng rng(33);
-  SparseMatrix s = RandomSparse(7, 9, 0.3, rng);
-  Matrix x = Matrix::RandomNormal(7, 4, 1.0, rng);
-  ExpectNear(s.MultiplyTransposed(x), MatMul(Transpose(s.ToDense()), x));
-}
-
 TEST(Sparse, SpGemmMatchesDense) {
   Rng rng(35);
   SparseMatrix a = RandomSparse(6, 8, 0.4, rng);

@@ -42,6 +42,9 @@
 # and span aggregation are lock-free hot paths), where a data race would
 # actually bite. Each leg builds the suites its labels select, read from
 # tests/CMakeLists.txt, and fails if one of them is left unbuilt.
+#
+# Stage 3 is a report with no gate: it lists the library functions that no
+# non-test program keeps, so test-only surface cannot creep back unseen.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -151,5 +154,35 @@ ctest --test-dir "${prefix}-tsan" --output-on-failure -j "$(nproc)" \
   -L "${matrix_labels}|metrics"
 ctest --test-dir "${prefix}-tsan" --output-on-failure -j "$(nproc)" \
   -R 'ThreadPool|Defense|Jaccard|LowRank|AttributeClip|Smoothing|AdversarialTraining'
+
+echo "== stage 3: library functions no program keeps (report, no gate) =="
+# A gc-sections build of every non-test executable named in examples/,
+# bench/ and tools/ (aneci_cli, aneci_lint, the examples and benches), plus
+# perfbench's aneci_perfbench from its own package. It is built at -O0, so
+# no call is inlined away and a strong aneci:: text symbol of a library
+# archive that none of them keeps is called by tests alone. Test fixtures
+# and the reference implementations tests compare against are listed too:
+# read it, do not gate on it.
+gc_flags=(-DCMAKE_BUILD_TYPE=None
+  "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections"
+  "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+mapfile -t programs < <(grep -hoE \
+  '^(aneci_add_example|aneci_add_bench|add_executable)\([A-Za-z0-9_]+' \
+  examples/CMakeLists.txt bench/CMakeLists.txt tools/CMakeLists.txt |
+  sed 's/.*(//')
+cmake -B "${prefix}-gc" -S . "${gc_flags[@]}"
+cmake --build "${prefix}-gc" -j "$(nproc)" --target "${programs[@]}"
+cmake -B "${prefix}-gc-perfbench" -S perfbench "${gc_flags[@]}"
+cmake --build "${prefix}-gc-perfbench" -j "$(nproc)" --target aneci_perfbench
+# nm -C prints "<address> <type> <demangled name>".
+library="$(nm -C --defined-only "${prefix}"-gc/src/*.a "${prefix}"-gc/tools/*.a |
+  sed -nE 's/^[0-9a-f]+ T (aneci::)/\1/p' | sort -u)"
+kept="$(find "${prefix}-gc/examples" "${prefix}-gc/bench" "${prefix}-gc/tools" \
+  "${prefix}-gc-perfbench/aneci_perfbench" -maxdepth 1 -type f -executable \
+  -exec nm -C --defined-only {} + | sed -E 's/^[0-9a-f]+ [A-Za-z] //' |
+  sort -u)"
+unkept="$(comm -23 <(echo "${library}") <(echo "${kept}"))"
+echo "$(grep -c . <<<"${unkept}" || true) library functions no program keeps:"
+echo "${unkept}"
 
 echo "== ci.sh: all stages passed =="

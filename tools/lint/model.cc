@@ -801,12 +801,6 @@ std::vector<int> ProjectModel::ResolveCallees(const FunctionInfo& caller,
   return cand;
 }
 
-std::vector<std::string> ProjectModel::function_names() const {
-  std::vector<std::string> out;
-  for (const FunctionInfo& f : functions_) out.push_back(Qualified(f));
-  return out;
-}
-
 // --- Check: guarded-member-access -------------------------------------------
 
 void ProjectModel::CheckGuardedMemberAccess(std::vector<Finding>* out) const {

@@ -95,9 +95,6 @@ class ProjectModel {
 
   /// Introspection for tests.
   const std::map<std::string, ClassInfo>& classes() const { return classes_; }
-  /// Qualified names ("Class::Name" / "Name") of every function definition
-  /// the model found, in discovery order.
-  std::vector<std::string> function_names() const;
   /// Canonical "from -> to" strings of every deduplicated lock-order edge.
   std::vector<std::string> lock_order_edges() const;
 
